@@ -65,7 +65,7 @@ def main():
                 f"{report.agreement:<20} {dt:6.2f}s"
             )
             total += 1
-            if report.agreement not in ("agree", "agree-sampled"):
+            if report.agreement != "agree":
                 inconclusive += 1
     confirmed = total - inconclusive
     print(f"{confirmed}/{total} carriers confirmed, {inconclusive} inconclusive within budget")

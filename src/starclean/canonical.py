@@ -3,16 +3,18 @@
 Every element of (RG)f is uniquely [sum_j (sum_i x_ij a^i) t_j](1-s) with
 x_ij in RK; the form makes the involution a sign flip on the rows j >= 2,
 symmetry a vanishing condition, and the projections of (RG)f exactly the
-d(1-s) with d supported on the a^i K span (i < m/2) satisfying d = 2*d^2.
+idempotents d(1-s) with d supported on the a^i K span (i < m/2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .coeff import CoefficientRing, Payload
-from .errors import BudgetError, NotInFComponentError, PreconditionError
-from .groupring import GroupRing, GroupRingElement
+from .errors import NotInFComponentError, PreconditionError
+from .groupring import GroupRing, GroupRingElement, idempotent_rows
 from .groups import SLCStructure
 
 DEFAULT_F_BUDGET = 1 << 22
@@ -130,28 +132,19 @@ def is_symmetric_f(form: FCanonicalForm) -> bool:
 def f_projections(
     S: SLCStructure, R: CoefficientRing, budget: int = DEFAULT_F_BUDGET
 ) -> list[GroupRingElement]:
-    """All projections of (RG)f: d(1-s) for d over the a^i K span (i < m/2)
-    with d = 2 d^2, by exhaustive enumeration of the d coefficients."""
-    if R.order is None:
-        raise BudgetError(f"{R!r} is infinite; cannot enumerate f-projections")
-    dim = (S.m // 2) * S.ksize
-    count = R.order**dim
-    if count > budget:
-        raise BudgetError(f"|R|^{dim} = {count} exceeds budget {budget}", cardinality=count)
+    """All projections of (RG)f: the idempotent d(1-s) for d over the a^i K
+    span (i < m/2), in counter order of the d coefficients.  Exhaustive;
+    raises BudgetError when there are more than `budget` candidates."""
     RG = GroupRing(S.group, R)
-    # the d-span is exactly the even indices below |Z|
-    span = list(range(0, S.zsize, 2))
-    two = R.from_int(2)
-    out = []
-    q = R.order
-    for counter in range(count):
-        rem = counter
-        coeffs = [R.zero] * S.group.order
-        for g in span:
-            rem, code = rem // q, rem % q
-            coeffs[g] = R.decode(code)
-        d = RG.from_coeffs(coeffs)
-        if d * d.scale(two) == d:
-            one_minus_s = RG.one() - RG.basis(S.s)
-            out.append(d * one_minus_s)
-    return out
+    # the d-span is exactly the even indices below |Z|; -d sits on its s-coset
+    span = np.arange(0, S.zsize, 2)
+    coset = S.group.mul[span, S.s]
+
+    def scatter(vals: np.ndarray) -> np.ndarray:
+        out = np.zeros((vals.shape[0], S.group.order), dtype=np.int64)
+        out[:, span] = vals
+        out[:, coset] = R.vec.neg(vals)
+        return out
+
+    rows, _ = idempotent_rows(RG, scatter, span.size, budget)
+    return [RG.from_coeffs(R.decode(int(c)) for c in row) for row in rows]

@@ -9,6 +9,7 @@ verdict: 0 star-clean/true, 1 not-star-clean/false, 2 unknown, >2 errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -113,6 +114,11 @@ def _status_exit(status: Status) -> int:
     return {Status.STAR_CLEAN: 0, Status.NOT_STAR_CLEAN: 1, Status.UNKNOWN: 2}[status]
 
 
+def _result_exit(result: Optional[bool]) -> int:
+    """Exit code of a brute result: None (not certified) is 2."""
+    return {True: 0, False: 1, None: 2}[result]
+
+
 def _resolve_sigma(spec, gobj, name: str) -> groups.InvolutionMap:
     if name == "classical":
         G = gobj.group if isinstance(gobj, groups.SLCStructure) else gobj
@@ -159,16 +165,7 @@ def run(job: JobSpec) -> tuple[int, dict]:
     """Execute a job; returns (exit_code, report)."""
     t_start = time.perf_counter()
     report: dict = {"command": job.command, "seed": job.seed}
-    budget = Budget(
-        full_scan_limit=job.budget.full_scan_limit,
-        structure_limit=job.budget.structure_limit,
-        sample_count=job.budget.sample_count,
-        structure_samples=job.budget.structure_samples,
-        low_support_limit=job.budget.low_support_limit,
-        z_budget=job.budget.z_budget,
-        height_bound=job.height_bound,
-        seed=job.seed,
-    )
+    budget = dataclasses.replace(job.budget, height_bound=job.height_bound, seed=job.seed)
 
     if job.command == "levels":
         level = coeff.level_classify_prime(job.prime)
@@ -202,11 +199,7 @@ def run(job: JobSpec) -> tuple[int, dict]:
         report["involution"] = job.involution
         report["result"] = rep.to_json()
         report["timings"] = {"total_s": round(time.perf_counter() - t_start, 6)}
-        if rep.result is True:
-            return 0, report
-        if rep.result is False:
-            return 1, report
-        return 2, report
+        return _result_exit(rep.result), report
 
     if job.command == "witness":
         if not isinstance(gobj, groups.SLCStructure):
@@ -283,11 +276,7 @@ def run(job: JobSpec) -> tuple[int, dict]:
         report["timings"]["total_s"] = round(time.perf_counter() - t_start, 6)
         if cr.theory is not None and cr.theory.status is not Status.UNKNOWN:
             return _status_exit(cr.theory.status), report
-        if cr.brute_star.result is True:
-            return 0, report
-        if cr.brute_star.result is False:
-            return 1, report
-        return 2, report
+        return _result_exit(cr.brute_star.result), report
 
     raise ParseError(f"unknown command {job.command!r}")
 
@@ -385,17 +374,12 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    budget = decide.DEFAULT_BUDGET
-    if getattr(args, "budget", None):
-        budget = Budget(full_scan_limit=args.budget, seed=args.seed)
-    else:
-        budget = Budget(seed=args.seed)
     job = JobSpec(
         command=args.command,
         group_spec=getattr(args, "group", None),
         ring_spec=getattr(args, "ring", None),
         involution=getattr(args, "involution", "canonical"),
-        budget=budget,
+        budget=Budget(full_scan_limit=getattr(args, "budget", None) or Budget.full_scan_limit),
         height_bound=getattr(args, "height_bound", 8),
         output_json=args.json,
         seed=args.seed,

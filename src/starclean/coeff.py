@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Any, Callable, Iterator, Optional
 
@@ -96,6 +96,18 @@ class VecOps:
     neg: Callable[[np.ndarray], np.ndarray]
 
 
+def _scalar_vec(R: CoefficientRing) -> VecOps:
+    """Element-wise lifts of R's scalar operations, for fields too large for tables."""
+    add = np.frompyfunc(R.add, 2, 1)
+    mul = np.frompyfunc(R.mul, 2, 1)
+    neg = np.frompyfunc(R.neg, 1, 1)
+    return VecOps(
+        add=lambda A, B: np.asarray(add(A, B), dtype=np.int64),
+        mul=lambda A, B: np.asarray(mul(A, B), dtype=np.int64),
+        neg=lambda A: np.asarray(neg(A), dtype=np.int64),
+    )
+
+
 class CoefficientRing:
     """Base class for the exact coefficient rings.
 
@@ -167,7 +179,7 @@ class CoefficientRing:
     def decode(self, code: int) -> Payload:
         raise NotImplementedError
 
-    # -- vectorised code arithmetic (finite, int-coded rings only) -----------
+    # -- vectorised code arithmetic (every finite ring; None when infinite) ---
     @property
     def vec(self) -> Optional[VecOps]:
         return None
@@ -225,7 +237,7 @@ class ModRing(CoefficientRing):
     def decode(self, code):
         return code
 
-    @property
+    @cached_property
     def vec(self):
         n = self.n
         return VecOps(
@@ -358,7 +370,6 @@ class FiniteField(CoefficientRing):
                 raise RingSpecError("modulus must be monic of degree k")
             if not _is_irreducible(self.modulus, p):
                 raise RingSpecError("modulus polynomial is reducible")
-        self._tables: tuple[np.ndarray, np.ndarray] | None = None
         self._generator: int | None = None
 
     # -- code <-> digit helpers -------------------------------------------
@@ -408,12 +419,14 @@ class FiniteField(CoefficientRing):
     def decode(self, code):
         return code
 
-    def _build_tables(self):
+    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Dense add, mul and neg tables on codes."""
         q = self.order
         codes = np.arange(q)
         digs = np.stack([(codes // self.p**i) % self.p for i in range(self.k)], axis=1)
         pows = self.p ** np.arange(self.k)
         add = ((digs[:, None, :] + digs[None, :, :]) % self.p @ pows).astype(np.int64)
+        neg = ((-digs) % self.p @ pows).astype(np.int64)
         mul = np.zeros((q, q), dtype=np.int64)
         for a in range(q):
             da = self.digits(a)
@@ -421,9 +434,9 @@ class FiniteField(CoefficientRing):
                 c = self.undigits(_gf_poly_mulmod(da, self.digits(b), self.modulus, self.p))
                 mul[a, b] = c
                 mul[b, a] = c
-        self._tables = (add, mul)
+        return add, mul, neg
 
-    @property
+    @cached_property
     def vec(self):
         p = self.p
         if self.k == 1:
@@ -433,13 +446,8 @@ class FiniteField(CoefficientRing):
                 neg=lambda A: (-A) % p,
             )
         if self.order > _TABLE_CAP:
-            return None
-        if self._tables is None:
-            self._build_tables()
-        addt, mult = self._tables
-        negt = addt[0].copy()  # placeholder, replaced below
-        # negation table: code of -a
-        negt = np.array([self.neg(a) for a in range(self.order)], dtype=np.int64)
+            return _scalar_vec(self)
+        addt, mult, negt = self._tables()
         return VecOps(
             add=lambda A, B: addt[A, B],
             mul=lambda A, B: mult[A, B],

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import _linalg, coeff, numtheory, witness as witness_mod
 from .coeff import CoefficientRing, FiniteField, ModRing, RationalField
-from .errors import BudgetError, CharDividesError, DiscrepancyError, PreconditionError
-from .groupring import GroupRing, GroupRingElement, is_idempotent
+from .errors import CharDividesError, DiscrepancyError, PreconditionError
+from .groupring import GroupRing, GroupRingElement, counter_digits, idempotent_rows
 from .groups import (
     FiniteGroup,
     InvolutionMap,
@@ -155,71 +155,19 @@ def _is_unit_codes(RG: GroupRing, codes: np.ndarray, T: np.ndarray, memo: dict) 
     return out
 
 
-def _counter_digits(counters: np.ndarray, q: int, width: int) -> np.ndarray:
-    out = np.empty((counters.shape[0], width), dtype=np.int64)
-    rem = counters.astype(np.int64).copy()
-    for i in range(width):
-        out[:, i] = rem % q
-        rem //= q
-    return out
-
-
-def _batch_idempotent_filter(RG: GroupRing, candidates: np.ndarray) -> list[np.ndarray]:
-    """Rows of `candidates` that are idempotent, via chunked convolution."""
-    from .groupring import batch_convolve
-
-    out = []
-    vec = RG.ring.vec
-    chunk = 4096
-    if vec is not None:
-        for start in range(0, candidates.shape[0], chunk):
-            block = candidates[start : start + chunk]
-            mask = (batch_convolve(RG, block, block) == block).all(axis=1)
-            out.extend(block[mask])
-    else:
-        for row in candidates:
-            alpha = RG.from_coeffs(RG.ring.decode(int(c)) for c in row)
-            if is_idempotent(alpha):
-                out.append(row.astype(np.int64))
-    return out
-
-
-_CANDIDATE_CHUNK = 65536
-
-
-def _structured_candidates(
-    RG: GroupRing,
-    scatter,  # callable: value matrix (N, dims) -> code matrix (N, |G|)
-    dims: int,
-    budget: Budget,
-    rng: np.random.Generator,
-):
-    """Candidate code matrices (chunked) over a `dims`-dimensional value
-    space: full enumeration within budget, else the low-index-support
-    stratum plus uniform random draws.  Returns (chunk iterator, full)."""
-    q = RG.ring.order
-    card = q**dims
-
-    if card <= budget.structure_limit:
-        def gen_full():
-            for start in range(0, card, _CANDIDATE_CHUNK):
-                counters = np.arange(start, min(card, start + _CANDIDATE_CHUNK), dtype=np.int64)
-                yield scatter(_counter_digits(counters, q, dims))
-
-        return gen_full(), True
-
-    low = 1
-    while low < dims and q ** (low + 1) <= budget.low_support_limit:
-        low += 1
-
-    def gen_sampled():
-        counters = np.arange(q**low, dtype=np.int64)
-        vals = np.zeros((counters.shape[0], dims), dtype=np.int64)
-        vals[:, :low] = _counter_digits(counters, q, low)
-        yield scatter(vals)
-        yield scatter(rng.integers(0, q, size=(budget.structure_samples, dims)).astype(np.int64))
-
-    return gen_sampled(), False
+def _structure_set(
+    RG: GroupRing, scatter, dims: int, budget: Budget
+) -> tuple[np.ndarray, bool]:
+    rows, full = idempotent_rows(
+        RG,
+        scatter,
+        dims,
+        budget.structure_limit,
+        budget.structure_samples,
+        budget.low_support_limit,
+        budget.seed,
+    )
+    return np.unique(rows, axis=0), full
 
 
 def projection_set(
@@ -230,77 +178,34 @@ def projection_set(
     Candidates are restricted to the sigma-symmetric subspace (projections
     satisfy alpha* = alpha, i.e. equal coefficients on each orbit of sigma).
     """
-    if RG.ring.order is None:
-        raise BudgetError("projection enumeration needs a finite ring")
     orbits = sigma.orbits()
-    n = RG.group.order
-
-    def scatter(vals: np.ndarray) -> np.ndarray:
-        out = np.zeros((vals.shape[0], n), dtype=np.int64)
-        for i, orbit in enumerate(orbits):
-            for g in orbit:
-                out[:, g] = vals[:, i]
-        return out
-
-    rng = np.random.default_rng(budget.seed)
-    chunks, full = _structured_candidates(RG, scatter, len(orbits), budget, rng)
-    rows = []
-    for block in chunks:
-        rows.extend(_batch_idempotent_filter(RG, block))
-    uniq = sorted({tuple(int(v) for v in row) for row in rows})
-    return np.array(uniq, dtype=np.int64).reshape(len(uniq), n), full
+    orbit_of = np.empty(RG.group.order, dtype=np.int64)
+    for i, orbit in enumerate(orbits):
+        orbit_of[list(orbit)] = i
+    # np.take keeps rows C-contiguous, which batch_convolve runs fastest on
+    return _structure_set(RG, lambda vals: np.take(vals, orbit_of, axis=1), len(orbits), budget)
 
 
 def idempotent_set(
     RG: GroupRing, budget: Budget = DEFAULT_BUDGET
 ) -> tuple[np.ndarray, bool]:
     """Idempotents of RG as sorted code rows, plus an exhaustiveness flag."""
-    if RG.ring.order is None:
-        raise BudgetError("idempotent enumeration needs a finite ring")
-    n = RG.group.order
-    rng = np.random.default_rng(budget.seed)
-    chunks, full = _structured_candidates(RG, lambda vals: vals, n, budget, rng)
-    rows = []
-    for block in chunks:
-        rows.extend(_batch_idempotent_filter(RG, block))
-    uniq = sorted({tuple(int(v) for v in row) for row in rows})
-    return np.array(uniq, dtype=np.int64).reshape(len(uniq), n), full
+    return _structure_set(RG, lambda vals: vals, RG.group.order, budget)
 
 
-def _neg_rows(RG: GroupRing, rows: np.ndarray) -> np.ndarray:
-    vec = RG.ring.vec
-    if vec is not None:
-        return vec.neg(rows)
-    R = RG.ring
-    return np.array(
-        [[R.encode(R.neg(R.decode(int(c)))) for c in row] for row in rows],
-        dtype=np.int64,
-    )
-
-
-def _decomposes(
+def _first_decomposition(
     RG: GroupRing,
     codes: np.ndarray,
     neg_rows: np.ndarray,
     T: np.ndarray,
     memo: dict,
-) -> bool:
-    vec = RG.ring.vec
+) -> Optional[int]:
+    """Index of the first structure row p (given negated) with codes - p a unit."""
+    add = RG.ring.vec.add
     for i in range(neg_rows.shape[0]):
-        if vec is not None:
-            diff = vec.add(codes, neg_rows[i])
-        else:
-            R = RG.ring
-            diff = np.array(
-                [
-                    R.encode(R.add(R.decode(int(a)), R.decode(int(b))))
-                    for a, b in zip(codes, neg_rows[i])
-                ],
-                dtype=np.int64,
-            )
-        if _is_unit_codes(RG, diff, T, memo):
-            return True
-    return False
+        if _is_unit_codes(RG, add(codes, neg_rows[i]), T, memo):
+            return i
+    return None
 
 
 def _element_stream(RG: GroupRing, budget: Budget):
@@ -313,10 +218,8 @@ def _element_stream(RG: GroupRing, budget: Budget):
             chunk = 8192
             for start in range(0, card, chunk):
                 counters = np.arange(start, min(card, start + chunk), dtype=np.int64)
-                block = _counter_digits(counters, q, n)
-                for row in block:
-                    yield row
-        return gen_full(), "full", card
+                yield from counter_digits(counters, q, n)
+        return gen_full(), "full"
     rng = np.random.default_rng(budget.seed)
 
     def gen_sampled():
@@ -331,7 +234,56 @@ def _element_stream(RG: GroupRing, budget: Budget):
         for _ in range(count - sparse):
             yield rng.integers(0, q, size=n).astype(np.int64)
 
-    return gen_sampled(), "sampled", budget.sample_count
+    return gen_sampled(), "sampled"
+
+
+def _scan(
+    RG: GroupRing,
+    structure_rows: np.ndarray,
+    structure_full: bool,
+    property: str,
+    budget: Budget,
+) -> BruteReport:
+    """Scan RG for an element with no unit + structure-row decomposition.
+
+    The result is certified whenever it is not None: False needs a complete
+    structure set behind the counterexample, True an exhaustive scan.
+    """
+    kind = "projection" if property == "star-clean" else "idempotent"
+    size = structure_rows.shape[0]
+    neg_rows = RG.ring.vec.neg(structure_rows)
+    T = _regrep_index(RG.group)
+    memo: dict = {}
+    stream, mode = _element_stream(RG, budget)
+    tested = 0
+    for codes in stream:
+        tested += 1
+        if _first_decomposition(RG, codes, neg_rows, T, memo) is None:
+            alpha = RG.from_coeffs(RG.ring.decode(int(c)) for c in codes)
+            if structure_full:
+                return BruteReport(property, False, alpha, mode, tested, size, True)
+            return BruteReport(
+                property,
+                None,
+                alpha,
+                mode,
+                tested,
+                size,
+                False,
+                notes=[f"undecomposed element found, but {kind} set is sampled"],
+            )
+    if mode == "full":
+        return BruteReport(property, True, None, mode, tested, size, structure_full)
+    return BruteReport(
+        property,
+        None,
+        None,
+        mode,
+        tested,
+        size,
+        structure_full,
+        notes=["sampled scan: no counterexample in samples"],
+    )
 
 
 def brute_star_clean(
@@ -342,35 +294,8 @@ def brute_star_clean(
 ) -> BruteReport:
     """Scan RG for an element with no unit + projection decomposition."""
     RG = GroupRing(G, R)
-    projs, projs_full = projection_set(RG, sigma, budget)
-    neg_rows = _neg_rows(RG, projs)
-    T = _regrep_index(G)
-    memo: dict = {}
-    stream, mode, planned = _element_stream(RG, budget)
-    tested = 0
-    for codes in stream:
-        tested += 1
-        if not _decomposes(RG, codes, neg_rows, T, memo):
-            alpha = RG.from_coeffs(R.decode(int(c)) for c in codes)
-            if projs_full:
-                return BruteReport(
-                    "star-clean", False, alpha, mode, tested, projs.shape[0], True
-                )
-            return BruteReport(
-                "star-clean",
-                None,
-                alpha,
-                mode,
-                tested,
-                projs.shape[0],
-                False,
-                notes=["undecomposed element found, but projection set is sampled"],
-            )
-    result = True if mode == "full" else True
-    notes = [] if mode == "full" else ["sampled scan: no counterexample in samples"]
-    return BruteReport(
-        "star-clean", result, None, mode, tested, projs.shape[0], projs_full, notes
-    )
+    projs, full = projection_set(RG, sigma, budget)
+    return _scan(RG, projs, full, "star-clean", budget)
 
 
 def brute_clean(
@@ -378,34 +303,8 @@ def brute_clean(
 ) -> BruteReport:
     """Scan RG for an element with no unit + idempotent decomposition."""
     RG = GroupRing(G, R)
-    idems, idems_full = idempotent_set(RG, budget)
-    neg_rows = _neg_rows(RG, idems)
-    T = _regrep_index(G)
-    memo: dict = {}
-    stream, mode, planned = _element_stream(RG, budget)
-    tested = 0
-    for codes in stream:
-        tested += 1
-        if not _decomposes(RG, codes, neg_rows, T, memo):
-            alpha = RG.from_coeffs(R.decode(int(c)) for c in codes)
-            if idems_full:
-                return BruteReport(
-                    "clean", False, alpha, mode, tested, idems.shape[0], True
-                )
-            return BruteReport(
-                "clean",
-                None,
-                alpha,
-                mode,
-                tested,
-                idems.shape[0],
-                False,
-                notes=["undecomposed element found, but idempotent set is sampled"],
-            )
-    notes = [] if mode == "full" else ["sampled scan: no counterexample in samples"]
-    return BruteReport(
-        "clean", True, None, mode, tested, idems.shape[0], idems_full, notes
-    )
+    idems, full = idempotent_set(RG, budget)
+    return _scan(RG, idems, full, "clean", budget)
 
 
 def element_star_clean(
@@ -422,26 +321,13 @@ def element_star_clean(
     projs, _ = projection_set(RG, sigma, budget)
     R = alpha.ring
     codes = np.array([R.encode(c) for c in alpha.coeffs], dtype=np.int64)
-    neg_rows = _neg_rows(RG, projs)
-    T = _regrep_index(alpha.group)
-    memo: dict = {}
-    vec = R.vec
-    for i in range(projs.shape[0]):
-        if vec is not None:
-            diff = vec.add(codes, neg_rows[i])
-        else:
-            diff = np.array(
-                [
-                    R.encode(R.add(R.decode(int(a)), R.decode(int(b))))
-                    for a, b in zip(codes, neg_rows[i])
-                ],
-                dtype=np.int64,
-            )
-        if _is_unit_codes(RG, diff, T, memo):
-            q_el = RG.from_coeffs(R.decode(int(c)) for c in projs[i])
-            u_el = RG.from_coeffs(R.decode(int(c)) for c in diff)
-            return witness_mod.StarCleanDecomposition(u_el, q_el)
-    return None
+    neg_rows = R.vec.neg(projs)
+    i = _first_decomposition(RG, codes, neg_rows, _regrep_index(alpha.group), {})
+    if i is None:
+        return None
+    q_el = RG.from_coeffs(R.decode(int(c)) for c in projs[i])
+    u_el = RG.from_coeffs(R.decode(int(c)) for c in R.vec.add(codes, neg_rows[i]))
+    return witness_mod.StarCleanDecomposition(u_el, q_el)
 
 
 # --------------------------------------------------------------------------
@@ -809,18 +695,14 @@ def cross_validate(
         agreement = "theory-unknown"
     elif brute_star.result is None:
         agreement = "brute-inconclusive"
-    elif theory.status is Status.NOT_STAR_CLEAN and brute_star.result is False:
+    elif brute_star.result == (theory.status is Status.STAR_CLEAN):
         agreement = "agree"
-    elif theory.status is Status.STAR_CLEAN and brute_star.result is True:
-        agreement = "agree" if brute_star.mode == "full" else "agree-sampled"
-    elif theory.status is Status.NOT_STAR_CLEAN and brute_star.result is True:
-        if brute_star.mode == "full" and brute_star.structure_full:
-            raise DiscrepancyError(
-                f"theory says not *-clean but full brute scan found all elements decomposable "
-                f"({G.order=}, ring={R.spec_string()})"
-            )
-        agreement = "unconfirmed-sampled"
-    else:  # theory star-clean, brute found a certified counterexample
+    elif brute_star.result:
+        raise DiscrepancyError(
+            f"theory says not *-clean but full brute scan found all elements decomposable "
+            f"({G.order=}, ring={R.spec_string()})"
+        )
+    else:
         raise DiscrepancyError(
             f"theory says *-clean but brute force certified a counterexample "
             f"({G.order=}, ring={R.spec_string()})"

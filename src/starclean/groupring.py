@@ -157,23 +157,6 @@ class GroupRingElement:
         return True
 
 
-# module-level aliases matching the operation names
-def add(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
-    return a + b
-
-
-def mul(a: GroupRingElement, b: GroupRingElement) -> GroupRingElement:
-    return a * b
-
-
-def neg(a: GroupRingElement) -> GroupRingElement:
-    return -a
-
-
-def scalar_mul(r: Payload, a: GroupRingElement) -> GroupRingElement:
-    return a.scale(r)
-
-
 @dataclass(eq=False)
 class GroupRing:
     """Carrier pair (G, R) with element factories and counting."""
@@ -257,11 +240,8 @@ def regular_representation(alpha: GroupRingElement) -> list[list[Payload]]:
     ]
 
 
-_regrep_rows = regular_representation
-
-
 def is_unit(alpha: GroupRingElement) -> bool:
-    return _linalg.is_invertible(alpha.ring, _regrep_rows(alpha))
+    return _linalg.is_invertible(alpha.ring, regular_representation(alpha))
 
 
 def unit_inverse(alpha: GroupRingElement) -> Optional[GroupRingElement]:
@@ -269,7 +249,7 @@ def unit_inverse(alpha: GroupRingElement) -> Optional[GroupRingElement]:
     G = alpha.group
     R = alpha.ring
     rhs = [R.one if k == G.identity else R.zero for k in range(G.order)]
-    sol = _linalg.solve_column(R, _regrep_rows(alpha), rhs)
+    sol = _linalg.solve_column(R, regular_representation(alpha), rhs)
     if sol is None:
         return None
     beta = GroupRingElement(G, R, sol)
@@ -279,7 +259,7 @@ def unit_inverse(alpha: GroupRingElement) -> Optional[GroupRingElement]:
 
 
 def regrep_det(alpha: GroupRingElement) -> Payload:
-    return _linalg.det(alpha.ring, _regrep_rows(alpha))
+    return _linalg.det(alpha.ring, regular_representation(alpha))
 
 
 # --------------------------------------------------------------------------
@@ -403,12 +383,6 @@ def enumerate_units(RG: GroupRing, budget: int = DEFAULT_ENUM_BUDGET) -> Iterato
             yield alpha
 
 
-def enumerate_idempotents(RG: GroupRing, budget: int = DEFAULT_ENUM_BUDGET) -> Iterator[GroupRingElement]:
-    for alpha in enumerate_elements(RG, budget):
-        if is_idempotent(alpha):
-            yield alpha
-
-
 def enumerate_projections(
     RG: GroupRing, sigma: InvolutionMap, budget: int = DEFAULT_ENUM_BUDGET
 ) -> Iterator[GroupRingElement]:
@@ -436,15 +410,83 @@ def enumerate_projections(
             yield alpha
 
 
+# codes per candidate block and per convolution chunk: bounded memory, and
+# chunks small enough for the convolution's temporaries to stay in cache
+_CANDIDATE_CELLS = 1 << 19
+_CONVOLVE_CELLS = 1 << 15
+
+
+def counter_digits(counters: np.ndarray, q: int, width: int) -> np.ndarray:
+    """Base-q digits of each counter, least significant first."""
+    out = np.empty((counters.shape[0], width), dtype=np.int64)
+    rem = counters.astype(np.int64)
+    for i in range(width):
+        out[:, i] = rem % q
+        rem //= q
+    return out
+
+
+def _sampled_values(q: int, dims: int, samples: int, low_support_limit: int, seed: int):
+    """The low-index-support stratum, then `samples` uniform draws."""
+    low = 1
+    while low < dims and q ** (low + 1) <= low_support_limit:
+        low += 1
+    stratum = np.zeros((q**low, dims), dtype=np.int64)
+    stratum[:, :low] = counter_digits(np.arange(q**low), q, low)
+    rng = np.random.default_rng(seed)
+    return [stratum, rng.integers(0, q, size=(samples, dims))]
+
+
+def idempotent_rows(
+    RG: GroupRing,
+    scatter,  # callable: value matrix (N, dims) -> code matrix (N, |G|)
+    dims: int,
+    limit: int,
+    samples: Optional[int] = None,
+    low_support_limit: int = 0,
+    seed: int = 0,
+) -> tuple[np.ndarray, bool]:
+    """Idempotent rows among scatter(v) for v over R^dims, plus an
+    exhaustiveness flag.
+
+    Within `limit` candidates the values run in counter order (first
+    coordinate fastest).  Beyond it, with `samples` given, the candidates are
+    the low-index-support stratum of at most `low_support_limit` values plus
+    `samples` seeded uniform draws, and rows may repeat; without `samples`
+    this raises BudgetError.
+    """
+    _require_finite(RG)
+    q = RG.ring.order
+    card = q**dims
+    block = max(1, _CANDIDATE_CELLS // RG.group.order)
+    step = max(1, _CONVOLVE_CELLS // RG.group.order)
+    if card <= limit:
+        blocks = (
+            counter_digits(np.arange(start, min(card, start + block)), q, dims)
+            for start in range(0, card, block)
+        )
+        full = True
+    elif samples is None:
+        raise BudgetError(f"|R|^{dims} = {card} exceeds budget {limit}", cardinality=card)
+    else:
+        blocks = _sampled_values(q, dims, samples, low_support_limit, seed)
+        full = False
+    rows = []
+    for values in blocks:
+        candidates = scatter(values)
+        for start in range(0, candidates.shape[0], step):
+            C = candidates[start : start + step]
+            rows.append(C[batch_idempotent_mask(RG, C)])
+    return np.concatenate(rows), full
+
+
 # --------------------------------------------------------------------------
-# batched helpers on int-code matrices (used by the brute-force module)
+# batched helpers on int-code matrices
 # --------------------------------------------------------------------------
 
 def batch_convolve(RG: GroupRing, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Row-wise group-ring products of paired rows of A and B (code matrices)."""
     vec = RG.ring.vec
-    if vec is None:
-        raise BudgetError(f"{RG.ring!r} has no vectorised arithmetic")
     mul_t = RG.group.mul
     out = np.zeros_like(A)
     for g in range(RG.group.order):

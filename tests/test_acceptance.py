@@ -97,7 +97,7 @@ def _exhaustive_f_projections(S, R):
 
 
 def test_f_projection_formula_matches_exhaustive():
-    with criterion("f-projections: d = 2d^2 criterion vs exhaustive scan"):
+    with criterion("f-projections: idempotent d(1-s) vs exhaustive scan"):
         F3 = coeff.GF(3)
         q8 = groups.build_slc(P.D2, 1)
         RG = gr.GroupRing(q8.group, F3)

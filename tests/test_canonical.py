@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from starclean import canonical as cn, coeff, groups, groupring as gr
+from starclean import canonical as cn, cli, coeff, groups, groupring as gr
 from starclean.errors import BudgetError, NotInFComponentError
 
 
@@ -121,27 +121,36 @@ def test_f_projections_f3_q8(q8, f3, carrier):
     assert set(projs) == {RG.zero(), oms.scale(f3.from_int(2))}
 
 
-def test_f_projections_match_exhaustive_scan(q8, f3, carrier):
-    RG, _ = carrier
-    sigma = groups.canonical_involution(q8)
-    brute = {
-        p
-        for p in _all_f_elements(q8, RG)
-        if gr.is_idempotent(p) and gr.apply_involution(sigma, p) == p
-    }
-    assert brute == set(cn.f_projections(q8, f3))
+def _span_f_elements(S, RG):
+    """Every d(1 - s) with d on the a^i K span, the even indices below |Z|."""
+    R = RG.ring
+    span = range(0, S.zsize, 2)
+    oms = RG.one() - RG.basis(S.s)
+    for codes in itertools.product(range(R.order), repeat=len(span)):
+        vec = [R.zero] * S.group.order
+        for g, c in zip(span, codes):
+            vec[g] = R.decode(c)
+        yield RG.from_coeffs(vec) * oms
 
 
-def test_f_projections_match_exhaustive_scan_q8xc2(f3):
-    S = groups.build_slc(groups.Presentation.D2, 1, abelian=[2])
-    RG = gr.GroupRing(S.group, f3)
+@pytest.mark.parametrize(
+    "spec,ring,candidates,count",
+    [
+        ("Q8", "F3", _all_f_elements, 2),
+        ("Q8xC2", "F3", _all_f_elements, 4),
+        ("D2[k=2]", "F5", _span_f_elements, 4),
+        ("D2[k=3]", "F3", _span_f_elements, 4),
+    ],
+    ids=["Q8-F3", "Q8xC2-F3", "D2k2-F5", "D2k3-F3"],
+)
+def test_f_projections_match_exhaustive_scan(spec, ring, candidates, count):
+    S = cli.parse_group_spec(spec)
+    R = coeff.make_ring(ring)
+    RG = gr.GroupRing(S.group, R)
     sigma = groups.canonical_involution(S)
-    brute = {
-        p
-        for p in _all_f_elements(S, RG)
-        if gr.is_idempotent(p) and gr.apply_involution(sigma, p) == p
-    }
-    assert brute == set(cn.f_projections(S, f3))
+    brute = {p for p in candidates(S, RG) if gr.is_projection(p, sigma)}
+    assert len(brute) == count
+    assert brute == set(cn.f_projections(S, R))
 
 
 def test_f_projections_budget_error(f3):

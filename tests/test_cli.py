@@ -3,6 +3,7 @@ import json
 import pytest
 
 from starclean import cli, groups
+from starclean.decide import Budget
 from starclean.errors import ParseError
 
 
@@ -87,6 +88,20 @@ def test_brute_clean_property(capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["result"]["result"] is True
+
+
+def test_sampled_brute_scan_is_not_a_proof():
+    job = cli.JobSpec(
+        command="brute",
+        group_spec="Q8",
+        ring_spec="F3",
+        prop="clean",
+        budget=Budget(full_scan_limit=1, sample_count=50),
+    )
+    code, report = cli.run(job)
+    assert code == 2
+    assert report["result"]["mode"] == "sampled"
+    assert report["result"]["result"] is None
 
 
 def test_levels_command(capsys):

@@ -181,7 +181,7 @@ def test_brute_clean_sampled_mode_with_full_idempotents(q8, f5):
     rep = decide.brute_clean(q8.group, f5, budget)
     assert rep.mode == "sampled"
     assert rep.structure_full
-    assert rep.result is True  # F5[Q8] is clean; sampling finds no counterexample
+    assert rep.result is None  # no counterexample in the samples, but no proof either
 
 
 def test_brute_star_clean_sampled_mode(q8, f3):
@@ -208,6 +208,18 @@ def test_element_star_clean_central_idempotent(q8, f3):
     assert dec is not None
     dec.validate(sigma)
     assert dec.target() == pair.e
+
+
+def test_element_star_clean_above_table_cap():
+    # GF(3^7) has 2187 elements, too many for dense tables
+    R = coeff.GF(3, 7)
+    c2 = groups.cyclic_group(2)
+    sigma = groups.classical_involution(c2)
+    alpha = gr.GroupRing(c2, R).random_element(np.random.default_rng(0))
+    dec = decide.element_star_clean(alpha, sigma)
+    assert dec is not None
+    dec.validate(sigma)
+    assert dec.target() == alpha
 
 
 def test_projection_set_exhaustive_flag(q8, f3):

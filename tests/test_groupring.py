@@ -48,15 +48,6 @@ def test_carrier_mismatch_raises(rq8_f3, f5, q8):
         rq8_f3.one() + other.one()
 
 
-def test_operation_aliases(rq8_f3, f3, q8):
-    a = rq8_f3.basis(q8.group.generators["x"])
-    b = rq8_f3.basis(q8.group.generators["y"])
-    assert gr.add(a, b) == a + b
-    assert gr.mul(a, b) == a * b
-    assert gr.neg(a) == -a
-    assert gr.scalar_mul(f3.from_int(2), a) == a.scale(f3.from_int(2))
-
-
 # ---------------------------------------------------------------- involution
 
 def test_involution_on_x_plus_y(rq8_f3, q8, sigma_q8):
