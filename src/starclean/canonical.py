@@ -142,9 +142,12 @@ def f_projections(
 
     def scatter(vals: np.ndarray) -> np.ndarray:
         out = np.zeros((vals.shape[0], S.group.order), dtype=np.int64)
+        # reversed columns: the stream's lexicographic order becomes counter
+        # order of the d coefficients
+        vals = vals[:, ::-1]
         out[:, span] = vals
         out[:, coset] = R.vec.neg(vals)
         return out
 
-    rows, _ = idempotent_rows(RG, scatter, span.size, budget)
-    return [RG.from_coeffs(R.decode(int(c)) for c in row) for row in rows]
+    chunks, _ = idempotent_rows(RG, scatter, span.size, budget)
+    return [RG.from_coeffs(R.decode(int(c)) for c in row) for rows in chunks for row in rows]

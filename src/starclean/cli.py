@@ -191,10 +191,10 @@ def run(job: JobSpec) -> tuple[int, dict]:
         return _status_exit(verdict.status), report
 
     if job.command == "brute":
-        sigma = _resolve_sigma(job, gobj, job.involution)
         if job.prop == "clean":
             rep = decide.brute_clean(G, ring, budget)
         else:
+            sigma = _resolve_sigma(job, gobj, job.involution)
             rep = decide.brute_star_clean(G, sigma, ring, budget)
         report["involution"] = job.involution
         report["result"] = rep.to_json()

@@ -155,10 +155,9 @@ def _is_unit_codes(RG: GroupRing, codes: np.ndarray, T: np.ndarray, memo: dict) 
     return out
 
 
-def _structure_set(
-    RG: GroupRing, scatter, dims: int, budget: Budget
-) -> tuple[np.ndarray, bool]:
-    rows, full = idempotent_rows(
+def _structure_rows(RG: GroupRing, scatter, dims: int, budget: Budget):
+    """(chunks, full) from idempotent_rows under the budget's structure limits."""
+    return idempotent_rows(
         RG,
         scatter,
         dims,
@@ -167,7 +166,25 @@ def _structure_set(
         budget.low_support_limit,
         budget.seed,
     )
-    return np.unique(rows, axis=0), full
+
+
+def _sorted_rows(chunks) -> np.ndarray:
+    return np.unique(np.concatenate(list(chunks)), axis=0)
+
+
+def _projection_rows(RG: GroupRing, sigma: InvolutionMap, budget: Budget):
+    """(chunks, full) for the projections of RG; see :func:`projection_set`.
+
+    The orbits are sorted by smallest member, so lexicographic order of the
+    orbit values is the sorted order of the scattered code rows: an
+    exhaustive stream comes out sorted and distinct, chunk after chunk.
+    """
+    orbits = sigma.orbits()
+    orbit_of = np.empty(RG.group.order, dtype=np.int64)
+    for i, orbit in enumerate(orbits):
+        orbit_of[list(orbit)] = i
+    # np.take keeps rows C-contiguous, which batch_convolve runs fastest on
+    return _structure_rows(RG, lambda vals: np.take(vals, orbit_of, axis=1), len(orbits), budget)
 
 
 def projection_set(
@@ -178,19 +195,16 @@ def projection_set(
     Candidates are restricted to the sigma-symmetric subspace (projections
     satisfy alpha* = alpha, i.e. equal coefficients on each orbit of sigma).
     """
-    orbits = sigma.orbits()
-    orbit_of = np.empty(RG.group.order, dtype=np.int64)
-    for i, orbit in enumerate(orbits):
-        orbit_of[list(orbit)] = i
-    # np.take keeps rows C-contiguous, which batch_convolve runs fastest on
-    return _structure_set(RG, lambda vals: np.take(vals, orbit_of, axis=1), len(orbits), budget)
+    chunks, full = _projection_rows(RG, sigma, budget)
+    return _sorted_rows(chunks), full
 
 
 def idempotent_set(
     RG: GroupRing, budget: Budget = DEFAULT_BUDGET
 ) -> tuple[np.ndarray, bool]:
     """Idempotents of RG as sorted code rows, plus an exhaustiveness flag."""
-    return _structure_set(RG, lambda vals: vals, RG.group.order, budget)
+    chunks, full = _structure_rows(RG, lambda vals: vals, RG.group.order, budget)
+    return _sorted_rows(chunks), full
 
 
 def _first_decomposition(
@@ -227,7 +241,7 @@ def _element_stream(RG: GroupRing, budget: Budget):
         sparse = count // 5  # stratum: small-support elements
         for _ in range(sparse):
             row = np.zeros(n, dtype=np.int64)
-            size = int(rng.integers(1, 5))
+            size = int(rng.integers(1, min(4, n) + 1))
             pos = rng.choice(n, size=size, replace=False)
             row[pos] = rng.integers(1, q, size=size)
             yield row
@@ -312,22 +326,31 @@ def element_star_clean(
     sigma: InvolutionMap,
     budget: Budget = DEFAULT_BUDGET,
 ) -> Optional[witness_mod.StarCleanDecomposition]:
-    """First decomposition of alpha in deterministic projection order, or None.
+    """First decomposition of alpha in sorted projection order, or None.
 
-    A None is conclusive only when the projection set was exhaustive; use
-    :func:`projection_set` directly to check the flag.
+    Projections are computed chunk by chunk in the order of
+    :func:`projection_set` and the search stops at the first p with
+    alpha - p a unit, so the rest of the set is never built.  A sampled
+    projection set is built whole and sorted first.  A None is conclusive
+    only when the projection set was exhaustive; use :func:`projection_set`
+    directly to check the flag.
     """
     RG = GroupRing(alpha.group, alpha.ring)
-    projs, _ = projection_set(RG, sigma, budget)
+    chunks, full = _projection_rows(RG, sigma, budget)
+    if not full:
+        chunks = [_sorted_rows(chunks)]
     R = alpha.ring
     codes = np.array([R.encode(c) for c in alpha.coeffs], dtype=np.int64)
-    neg_rows = R.vec.neg(projs)
-    i = _first_decomposition(RG, codes, neg_rows, _regrep_index(alpha.group), {})
-    if i is None:
-        return None
-    q_el = RG.from_coeffs(R.decode(int(c)) for c in projs[i])
-    u_el = RG.from_coeffs(R.decode(int(c)) for c in R.vec.add(codes, neg_rows[i]))
-    return witness_mod.StarCleanDecomposition(u_el, q_el)
+    T = _regrep_index(alpha.group)
+    memo: dict = {}
+    for projs in chunks:
+        neg_rows = R.vec.neg(projs)
+        i = _first_decomposition(RG, codes, neg_rows, T, memo)
+        if i is not None:
+            q_el = RG.from_coeffs(R.decode(int(c)) for c in projs[i])
+            u_el = RG.from_coeffs(R.decode(int(c)) for c in R.vec.add(codes, neg_rows[i]))
+            return witness_mod.StarCleanDecomposition(u_el, q_el)
+    return None
 
 
 # --------------------------------------------------------------------------

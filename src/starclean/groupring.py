@@ -416,11 +416,13 @@ _CANDIDATE_CELLS = 1 << 19
 _CONVOLVE_CELLS = 1 << 15
 
 
-def counter_digits(counters: np.ndarray, q: int, width: int) -> np.ndarray:
-    """Base-q digits of each counter, least significant first."""
+def counter_digits(counters: np.ndarray, q: int, width: int, lex: bool = False) -> np.ndarray:
+    """Base-q digits of each counter, least significant first; with `lex`,
+    most significant first, so consecutive counters give rows in
+    lexicographic order."""
     out = np.empty((counters.shape[0], width), dtype=np.int64)
     rem = counters.astype(np.int64)
-    for i in range(width):
+    for i in range(width - 1, -1, -1) if lex else range(width):
         out[:, i] = rem % q
         rem //= q
     return out
@@ -445,15 +447,16 @@ def idempotent_rows(
     samples: Optional[int] = None,
     low_support_limit: int = 0,
     seed: int = 0,
-) -> tuple[np.ndarray, bool]:
-    """Idempotent rows among scatter(v) for v over R^dims, plus an
+) -> tuple[Iterator[np.ndarray], bool]:
+    """Idempotent rows among scatter(v) for v over R^dims, one array per
+    convolution chunk and computed as the chunks are consumed, plus an
     exhaustiveness flag.
 
-    Within `limit` candidates the values run in counter order (first
-    coordinate fastest).  Beyond it, with `samples` given, the candidates are
+    Within `limit` candidates the values run in lexicographic order (first
+    coordinate slowest).  Beyond it, with `samples` given, the candidates are
     the low-index-support stratum of at most `low_support_limit` values plus
     `samples` seeded uniform draws, and rows may repeat; without `samples`
-    this raises BudgetError.
+    this raises BudgetError at the call, before any chunk is computed.
     """
     _require_finite(RG)
     q = RG.ring.order
@@ -462,7 +465,7 @@ def idempotent_rows(
     step = max(1, _CONVOLVE_CELLS // RG.group.order)
     if card <= limit:
         blocks = (
-            counter_digits(np.arange(start, min(card, start + block)), q, dims)
+            counter_digits(np.arange(start, min(card, start + block)), q, dims, lex=True)
             for start in range(0, card, block)
         )
         full = True
@@ -471,13 +474,15 @@ def idempotent_rows(
     else:
         blocks = _sampled_values(q, dims, samples, low_support_limit, seed)
         full = False
-    rows = []
-    for values in blocks:
-        candidates = scatter(values)
-        for start in range(0, candidates.shape[0], step):
-            C = candidates[start : start + step]
-            rows.append(C[batch_idempotent_mask(RG, C)])
-    return np.concatenate(rows), full
+
+    def chunks() -> Iterator[np.ndarray]:
+        for values in blocks:
+            candidates = scatter(values)
+            for start in range(0, candidates.shape[0], step):
+                C = candidates[start : start + step]
+                yield C[batch_idempotent_mask(RG, C)]
+
+    return chunks(), full
 
 
 # --------------------------------------------------------------------------

@@ -153,6 +153,20 @@ def test_f_projections_match_exhaustive_scan(spec, ring, candidates, count):
     assert brute == set(cn.f_projections(S, R))
 
 
+def test_f_projections_listing_order():
+    # counter order of the d coefficients on the a^i K span, first fastest
+    S = cli.parse_group_spec("D2[k=2]xC3")
+    R = coeff.make_ring("F5")
+    span = range(0, S.zsize, 2)
+    listed = [tuple(R.encode(p.coeffs[g]) for g in span) for p in cn.f_projections(S, R)]
+    assert listed == [
+        (0, 0, 0, 0, 0, 0), (3, 0, 0, 0, 0, 0), (1, 1, 1, 0, 0, 0), (2, 4, 4, 0, 0, 0),
+        (4, 0, 0, 2, 0, 0), (4, 0, 0, 3, 0, 0), (0, 2, 2, 1, 1, 1), (3, 3, 3, 1, 1, 1),
+        (1, 2, 2, 3, 1, 1), (2, 3, 3, 3, 1, 1), (4, 0, 0, 4, 2, 2), (4, 0, 0, 1, 3, 3),
+        (1, 2, 2, 2, 4, 4), (2, 3, 3, 2, 4, 4), (0, 2, 2, 4, 4, 4), (3, 3, 3, 4, 4, 4),
+    ]
+
+
 def test_f_projections_budget_error(f3):
     S = groups.build_slc(groups.Presentation.D2, 3, abelian=[4, 4])
     with pytest.raises(BudgetError):

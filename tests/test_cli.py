@@ -104,6 +104,31 @@ def test_sampled_brute_scan_is_not_a_proof():
     assert report["result"]["result"] is None
 
 
+def test_sampled_element_stream_on_group_smaller_than_support_stratum():
+    # |G| = 2: the small-support stratum must not draw more positions than |G|
+    job = cli.JobSpec(
+        command="brute",
+        group_spec="C2",
+        ring_spec="F7",
+        involution="classical",
+        budget=Budget(full_scan_limit=10),
+    )
+    code, report = cli.run(job)
+    assert code == 2
+    assert report["result"]["mode"] == "sampled"
+    assert report["result"]["result"] is None
+
+
+def test_brute_clean_needs_no_involution():
+    # C3 has no SLC presentation, so the default canonical involution does not exist
+    job = cli.JobSpec(command="brute", group_spec="C3", ring_spec="F5", prop="clean")
+    code, report = cli.run(job)
+    assert code == 0
+    assert report["involution"] == "canonical"
+    assert report["result"]["mode"] == "full"
+    assert report["result"]["result"] is True
+
+
 def test_levels_command(capsys):
     code = cli.main(["levels", "--prime", "23", "--json"])
     out = json.loads(capsys.readouterr().out)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from starclean import coeff, decide, groups, groupring as gr
+from starclean import cli, coeff, decide, groups, groupring as gr
 from starclean.decide import Budget, Status
 from starclean.errors import CharDividesError, PreconditionError
 from starclean.groups import Presentation as P
@@ -173,6 +173,7 @@ def test_brute_star_clean_f3_q8_counterexample(q8, f3):
     assert rep.structure_full
     # the counterexample really has no decomposition
     assert decide.element_star_clean(rep.counterexample, sigma) is None
+    assert _eager_first_decomposition(rep.counterexample, sigma, Budget()) is None
 
 
 def test_brute_clean_sampled_mode_with_full_idempotents(q8, f5):
@@ -192,6 +193,87 @@ def test_brute_star_clean_sampled_mode(q8, f3):
     # sampling still runs against the full projection set
     assert rep.structure_full
     assert rep.result is False  # counterexamples are dense enough to hit
+
+
+def _eager_first_decomposition(alpha, sigma, budget):
+    """Reference: (alpha - p, p) for the first row p of the sorted projection
+    set with alpha - p a unit, or None."""
+    RG = gr.GroupRing(alpha.group, alpha.ring)
+    projs, _ = decide.projection_set(RG, sigma, budget)
+    for row in projs:
+        p = RG.from_coeffs(alpha.ring.decode(int(c)) for c in row)
+        if gr.is_unit(alpha - p):
+            return alpha - p, p
+    return None
+
+
+def _carrier(spec, ring, involution):
+    S = cli.parse_group_spec(spec)
+    G = S.group if isinstance(S, groups.SLCStructure) else S
+    if involution == "canonical":
+        sigma = groups.canonical_involution(S)
+    else:
+        sigma = groups.classical_involution(G)
+    return gr.GroupRing(G, coeff.make_ring(ring)), sigma
+
+
+@pytest.mark.parametrize(
+    "spec,ring,involution,budget",
+    [
+        ("Q8", "F3", "canonical", Budget()),
+        ("Q8", "F3", "classical", Budget()),
+        ("Q8", "F7", "classical", Budget()),  # five convolution chunks
+        ("Q8", "F5", "canonical", Budget(structure_limit=100)),  # sampled set
+    ],
+    ids=["Q8-F3-canonical", "Q8-F3-classical", "Q8-F7-classical", "Q8-F5-sampled"],
+)
+def test_element_star_clean_matches_eager_search(spec, ring, involution, budget):
+    RG, sigma = _carrier(spec, ring, involution)
+    chunks, full = decide._projection_rows(RG, sigma, budget)
+    chunks = list(chunks) if full else []
+    first_chunk = {row.tobytes() for row in chunks[0]} if chunks else set()
+    rng = np.random.default_rng(0)
+    found = beyond_first_row = beyond_first_chunk = undecomposed = 0
+    for _ in range(40):
+        alpha = RG.random_element(rng)
+        expected = _eager_first_decomposition(alpha, sigma, budget)
+        dec = decide.element_star_clean(alpha, sigma, budget)
+        if expected is None:
+            assert dec is None
+            undecomposed += 1
+            continue
+        assert (dec.unit, dec.projection) == expected
+        found += 1
+        beyond_first_row += dec.projection != RG.zero()
+        codes = np.array([RG.ring.encode(c) for c in dec.projection.coeffs], dtype=np.int64)
+        beyond_first_chunk += codes.tobytes() not in first_chunk
+    # the draws reach past the zero projection (non-unit alpha), past the
+    # first chunk of a chunked stream, and include undecomposable elements
+    assert found and beyond_first_row and undecomposed
+    assert beyond_first_chunk or len(chunks) < 2
+
+
+@pytest.mark.parametrize(
+    "spec,ring,involution",
+    [
+        ("Q8", "F3", "canonical"),
+        ("Q8", "F3", "classical"),
+        ("D1[k=1]", "F3", "canonical"),
+        ("D1[k=1]", "F3", "classical"),
+        ("D3[k=1,k2=1]", "F3", "canonical"),
+        ("D3[k=1,k2=1]", "F3", "classical"),
+        ("C3xC2", "F5", "classical"),
+        ("Q8", "F7", "classical"),
+    ],
+)
+def test_exhaustive_projection_stream_is_sorted_and_distinct(spec, ring, involution):
+    RG, sigma = _carrier(spec, ring, involution)
+    # D3 classical has 12 orbits: 3^12 candidates, several candidate blocks
+    chunks, full = decide._projection_rows(RG, sigma, Budget(structure_limit=3**12))
+    assert full
+    rows = np.concatenate(list(chunks))
+    # projection_set returns these rows np.unique'd; the stream needs no sort
+    assert np.array_equal(rows, np.unique(rows, axis=0))
 
 
 def test_element_star_clean_one_yields_unit_plus_zero(q8, f3):
