@@ -46,7 +46,6 @@ class JobSpec:
     ring_spec: Optional[str] = None
     involution: str = "canonical"
     budget: Budget = decide.DEFAULT_BUDGET
-    height_bound: int = 8
     output_json: bool = False
     seed: int = 0
     explain: bool = False
@@ -165,7 +164,7 @@ def run(job: JobSpec) -> tuple[int, dict]:
     """Execute a job; returns (exit_code, report)."""
     t_start = time.perf_counter()
     report: dict = {"command": job.command, "seed": job.seed}
-    budget = dataclasses.replace(job.budget, height_bound=job.height_bound, seed=job.seed)
+    budget = dataclasses.replace(job.budget, seed=job.seed)
 
     if job.command == "levels":
         level = coeff.level_classify_prime(job.prime)
@@ -196,7 +195,8 @@ def run(job: JobSpec) -> tuple[int, dict]:
         else:
             sigma = _resolve_sigma(job, gobj, job.involution)
             rep = decide.brute_star_clean(G, sigma, ring, budget)
-        report["involution"] = job.involution
+        # a clean scan resolves no involution
+        report["involution"] = None if job.prop == "clean" else job.involution
         report["result"] = rep.to_json()
         report["timings"] = {"total_s": round(time.perf_counter() - t_start, 6)}
         return _result_exit(rep.result), report
@@ -204,12 +204,8 @@ def run(job: JobSpec) -> tuple[int, dict]:
     if job.command == "witness":
         if not isinstance(gobj, groups.SLCStructure):
             raise PreconditionError("witness generation needs an SLC presentation")
-        w = witness_mod.generate_witness(gobj, ring, budget.height_bound, budget.z_budget)
-        if w is coeff.UNKNOWN:
-            report["witness"] = None
-            report["outcome"] = "unknown"
-            code = 2
-        elif w is None:
+        w = witness_mod.generate_witness(gobj, ring, budget.z_budget)
+        if w is None:
             report["witness"] = None
             report["outcome"] = "no-witness; necessary conditions hold"
             code = 0
@@ -340,7 +336,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--json", action="store_true")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget", type=int, default=None, help="full-scan cardinality cap")
-        p.add_argument("--height-bound", type=int, default=8)
         p.add_argument("--explain", action="store_true")
 
     p = sub.add_parser("decide", help="theory-side verdict")
@@ -380,7 +375,6 @@ def main(argv=None) -> int:
         ring_spec=getattr(args, "ring", None),
         involution=getattr(args, "involution", "canonical"),
         budget=Budget(full_scan_limit=getattr(args, "budget", None) or Budget.full_scan_limit),
-        height_bound=getattr(args, "height_bound", 8),
         output_json=args.json,
         seed=args.seed,
         explain=getattr(args, "explain", False),

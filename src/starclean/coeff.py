@@ -818,7 +818,7 @@ class _Singleton:
 
 
 NO_SOLUTION = _Singleton("NoSolution")
-UNKNOWN = _Singleton("Unknown")
+UNKNOWN = _Singleton("Unknown")  # no solver returns it; kept for callers that compare
 
 
 @dataclass(frozen=True)
@@ -842,7 +842,7 @@ class ThreeSquaresSolution:
         return [self.ring.fmt(self.x), self.ring.fmt(self.y), self.ring.fmt(self.z)]
 
 
-SolveOutcome = Any  # ThreeSquaresSolution | NO_SOLUTION | UNKNOWN
+SolveOutcome = Any  # ThreeSquaresSolution | NO_SOLUTION
 
 
 def _finite_three_squares(R: CoefficientRing) -> SolveOutcome:
@@ -912,7 +912,9 @@ def two_squares_search(
     """Bounded meet-in-the-middle search for x^2 + y^2 = -1 in Q(zeta_d).
 
     Candidates have integer (or all-half-integer) coordinates of sup-norm at
-    most ``height_bound`` in the zeta power basis; a semidecision only.
+    most ``height_bound`` in the zeta power basis; a semidecision only.  No
+    decision calls it: it is kept as an independent reference for the
+    closed form of ``solve_three_squares``.
     """
     seen: dict[tuple, tuple] = {}
     count = 0
@@ -935,9 +937,7 @@ def two_squares_search(
     return None
 
 
-def _cyclotomic_three_squares(
-    F: CyclotomicField, height_bound: int, candidate_budget: int
-) -> SolveOutcome:
+def _cyclotomic_three_squares(F: CyclotomicField) -> SolveOutcome:
     d = F.d
     if F.degree == 1:
         return NO_SOLUTION  # the field is Q itself, formally real
@@ -955,35 +955,48 @@ def _cyclotomic_three_squares(
             sol = ThreeSquaresSolution(F, x, y, F.zero)
             assert sol.verify()
             return sol
-    if numtheory.is_prime(d_odd):
-        level = level_classify_prime(d_odd)
-        if level is Level.FOUR:
-            return NO_SOLUTION  # -1 needs four squares, so three never suffice
-    pair = two_squares_search(F, height_bound, candidate_budget)
-    if pair is not None:
-        sol = ThreeSquaresSolution(F, pair[0], pair[1], F.zero)
-        assert sol.verify()
-        return sol
-    return UNKNOWN
+    # every p | d_odd has odd ord_p(2), so the local degree ord_{d_odd}(2) at 2
+    # is odd: -1 is not a sum of two squares, and as levels are powers of 2,
+    # not of three either
+    return NO_SOLUTION
 
 
-def solve_three_squares(
-    R: CoefficientRing,
-    height_bound: int = 8,
-    candidate_budget: int = 100_000,
-) -> SolveOutcome:
+def local_degree_beyond_paper(F: CoefficientRing) -> Optional[dict]:
+    """Data {d, d_odd, ord_2} of the local-degree rule when it, and not the
+    paper, shows X^2 + Y^2 + Z^2 + 1 = 0 unsolvable in F = Q(zeta_d).
+
+    With d_odd the odd part of d, the equation has no solution iff 4 does
+    not divide d and ord_{d_odd}(2), the local degree at 2, is odd
+    (Fein-Gordon-Smith 1971: -1 is a sum of two squares in a totally
+    imaginary field iff every local degree at 2 is even; levels are powers
+    of 2).  Of those fields the paper settles only Q (d_odd = 1) and d_odd a
+    prime = 7 (mod 8), which has level 4; the rest get the data, every other
+    ring None.
+    """
+    if not isinstance(F, CyclotomicField) or F.d % 4 == 0:
+        return None
+    d_odd = F.d if F.d % 2 == 1 else F.d // 2
+    if d_odd == 1 or (d_odd % 8 == 7 and numtheory.is_prime(d_odd)):
+        return None
+    ord_2 = numtheory.multiplicative_order(2, d_odd)
+    if ord_2 % 2 == 0:
+        return None
+    return {"d": F.d, "d_odd": d_odd, "ord_2": ord_2}
+
+
+def solve_three_squares(R: CoefficientRing) -> SolveOutcome:
     """Decide solvability of X^2 + Y^2 + Z^2 + 1 = 0 in R.
 
     Finite rings are searched exhaustively (prime-subfield shortcut for large
-    extension fields); Q has no solution by positivity; cyclotomic fields use
-    the level classification for odd primes, an explicit construction whenever
-    some p | d has even ord_p(2), and otherwise a bounded search with
-    ``Unknown`` as the honest fallback.
+    extension fields); Q has no solution by positivity.  Q(zeta_d) gets an
+    explicit solution when 4 | d or some p | d has even ord_p(2), and
+    NO_SOLUTION otherwise: then the local degree of Q(zeta_d) at 2 is odd
+    (see ``local_degree_beyond_paper``).
     """
     if isinstance(R, RationalField):
         return NO_SOLUTION
     if isinstance(R, CyclotomicField):
-        return _cyclotomic_three_squares(R, height_bound, candidate_budget)
+        return _cyclotomic_three_squares(R)
     if isinstance(R, FiniteField) and R.order > 10_000:
         return _prime_subfield_three_squares(R)
     if R.order is not None:

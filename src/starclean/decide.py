@@ -81,7 +81,6 @@ class Budget:
     structure_samples: int = 5_000
     low_support_limit: int = 10_000
     z_budget: int = 200_000
-    height_bound: int = 8
     seed: int = 0
 
 
@@ -373,18 +372,7 @@ def necessary_conditions(
     """The four necessary checks in order: G = Q8 x A, no order-4 element of
     A, no excluded-prime element of A, equation unsolvable in R.  Failures
     come with the matching constructive witness."""
-    w = witness_mod.generate_witness(S, R, budget.height_bound, budget.z_budget)
-    if w is coeff.UNKNOWN:
-        return Verdict(
-            Status.UNKNOWN,
-            [
-                Reason(
-                    "equation-solvability-undetermined",
-                    "TheoremA.equation",
-                    {"ring": R.spec_string()},
-                )
-            ],
-        )
+    w = witness_mod.generate_witness(S, R, budget.z_budget)
     if w is None:
         return Verdict(
             Status.UNKNOWN,
@@ -463,13 +451,12 @@ def perlis_walker(F: CoefficientRing, A: FiniteGroup) -> PerlisWalkerDecompositi
     return PerlisWalkerDecomposition(tuple(comps))
 
 
-def theorem_c_decide(
-    fields: Sequence[CoefficientRing],
-    A: FiniteGroup,
-    budget: Budget = DEFAULT_BUDGET,
-) -> Verdict:
+def theorem_c_decide(fields: Sequence[CoefficientRing], A: FiniteGroup) -> Verdict:
     """Semisimple-coefficient biconditional for G = Q8 x A: *-clean iff the
-    equation has no solution in any F_i(zeta_d) for d an element order of A."""
+    equation has no solution in any F_i(zeta_d) for d an element order of A.
+
+    A component that only the local-degree rule shows unsolvable, beyond the
+    paper's level table, gets its own reason carrying the checkable data."""
     if not A.is_abelian():
         raise PreconditionError("A must be abelian")
     for F in fields:
@@ -480,12 +467,11 @@ def theorem_c_decide(
     ds = sorted(set(element_orders(A).tolist()))
     reasons = []
     certs = []
-    any_unknown = False
     solution_found = None
     for F in fields:
         for d in ds:
             E = coeff.extend_with_root(F, d)
-            out = coeff.solve_three_squares(E, budget.height_bound)
+            out = coeff.solve_three_squares(E)
             if isinstance(out, coeff.ThreeSquaresSolution):
                 solution_found = (F, d, out)
                 certs.append(
@@ -497,13 +483,13 @@ def theorem_c_decide(
                     }
                 )
                 break
-            if out is coeff.UNKNOWN:
-                any_unknown = True
+            local = coeff.local_degree_beyond_paper(E)
+            if local is not None:
                 reasons.append(
                     Reason(
-                        "component-undetermined",
-                        "TheoremC",
-                        {"field": F.spec_string(), "d": d, "extension": E.spec_string()},
+                        "equation-unsolvable-local-degree",
+                        "FeinGordonSmith1971",
+                        {**local, "basis": "beyond-paper:local-degree"},
                     )
                 )
         if solution_found:
@@ -519,8 +505,6 @@ def theorem_c_decide(
             ),
         )
         return Verdict(Status.NOT_STAR_CLEAN, reasons, certs)
-    if any_unknown:
-        return Verdict(Status.UNKNOWN, reasons, certs)
     pw_data = []
     for F in fields:
         if not isinstance(F, (RationalField, FiniteField)):
@@ -567,15 +551,10 @@ def theorem_b_decide(
             Status.NOT_STAR_CLEAN,
             [Reason("not-clean", "TheoremB", {"rank": rank})],
         )
-    if out is coeff.UNKNOWN or clean_status is None:
-        missing = []
-        if out is coeff.UNKNOWN:
-            missing.append("equation solvability")
-        if clean_status is None:
-            missing.append("cleanness")
+    if clean_status is None:
         return Verdict(
             Status.UNKNOWN,
-            [Reason("undetermined", "TheoremB", {"missing": missing, "rank": rank})],
+            [Reason("undetermined", "TheoremB", {"missing": ["cleanness"], "rank": rank})],
         )
     return Verdict(
         Status.STAR_CLEAN,
@@ -629,7 +608,7 @@ def decide_star_clean(
         raise AssertionError("non-Q8 structures always fail a necessary condition")
     A = build_abelian(S.abelian)
     if R.is_field and (R.char == 0 or (8 * A.order) % R.char != 0):
-        tc = theorem_c_decide([R], A, budget)
+        tc = theorem_c_decide([R], A)
         verdict = Verdict(tc.status, nec.reasons + tc.reasons, tc.certificates)
         if tc.status is Status.STAR_CLEAN and isinstance(R, RationalField):
             if len(S.abelian) == 1 and numtheory.is_prime(S.abelian[0]) and S.abelian[0] % 8 == 7:

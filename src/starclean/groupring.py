@@ -143,16 +143,17 @@ class GroupRingElement:
         return all(R.is_zero(c) for c in self.coeffs)
 
     def is_central(self) -> bool:
-        """Commutes with every group element basis vector."""
+        """Commutes with every group element basis vector, i.e. has one
+        coefficient on each conjugacy class.  Only the classes of the support
+        need checking: the support of a central element is a union of
+        classes, and every other class carries 0."""
         mul = self.group.mul
-        R = self.ring
-        for h in range(self.group.order):
-            left = [None] * self.group.order
-            right = [None] * self.group.order
-            for g, c in enumerate(self.coeffs):
-                left[int(mul[h, g])] = c
-                right[int(mul[g, h])] = c
-            if left != right:
+        inv = self.group.inverse
+        coeffs = self.coeffs
+        for g in self.support():
+            c = coeffs[g]
+            # h g h^-1 for every h
+            if any(coeffs[k] != c for k in np.unique(mul[mul[:, g], inv]).tolist()):
                 return False
         return True
 
@@ -490,7 +491,8 @@ def idempotent_rows(
 # --------------------------------------------------------------------------
 
 def batch_convolve(RG: GroupRing, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Row-wise group-ring products of paired rows of A and B (code matrices)."""
+    """Row-wise group-ring products of paired rows of A and B (code matrices);
+    a single-row B multiplies every row of A."""
     vec = RG.ring.vec
     mul_t = RG.group.mul
     out = np.zeros_like(A)

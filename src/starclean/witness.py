@@ -10,9 +10,10 @@ the transversal.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 from . import coeff
 from .coeff import CoefficientRing
@@ -21,6 +22,8 @@ from .groupring import (
     GroupRing,
     GroupRingElement,
     apply_involution,
+    batch_convolve,
+    counter_digits,
     is_projection,
     is_unit,
     unit_inverse,
@@ -37,6 +40,7 @@ from .groups import (
 from . import numtheory
 
 DEFAULT_Z_BUDGET = 200_000
+_Z_BLOCK_CELLS = 1 << 19  # codes per block of condition-2 candidates: bounded memory
 
 
 # --------------------------------------------------------------------------
@@ -151,7 +155,12 @@ def check_witness(
     z_budget: int = DEFAULT_Z_BUDGET,
 ) -> CheckOutcome:
     """Both witness conditions; condition 2 by exhaustive enumeration of
-    R Z(G) (finite R within budget only)."""
+    R Z(G) (finite R within budget only).
+
+    The candidates z run in lexicographic order of their coefficients on
+    Z(G)'s members (first member slowest), in blocks tested at once as code
+    rows; a failure reports the first z with (z - 4^-1 gamma) tau_w (1 - s)
+    = 0 in that order."""
     if int(sigma.image[s_index]) != s_index:
         raise PreconditionError("involution must fix s")
     RG = GroupRing(G, R)
@@ -170,12 +179,18 @@ def check_witness(
     q_gamma = w.gamma.scale(R.inv(R.from_int(4)))
     base = (-q_gamma) * w.tau_w * oms
     tau_oms = w.tau_w * oms
-    for codes in itertools.product(range(R.order), repeat=Z.order):
-        coeffs = [R.zero] * G.order
-        for member, code in zip(Z.members, codes):
-            coeffs[member] = R.decode(code)
-        z = RG.from_coeffs(coeffs)
-        if (z * tau_oms + base).is_zero():
+    tau_oms_row = np.array([[R.encode(c) for c in tau_oms.coeffs]], dtype=np.int64)
+    base_row = np.array([R.encode(c) for c in base.coeffs], dtype=np.int64)
+    members = list(Z.members)
+    block = max(1, _Z_BLOCK_CELLS // G.order)
+    for start in range(0, card, block):
+        counters = np.arange(start, min(card, start + block))
+        rows = np.zeros((counters.shape[0], G.order), dtype=np.int64)
+        rows[:, members] = counter_digits(counters, R.order, Z.order, lex=True)
+        prod = batch_convolve(RG, rows, tau_oms_row)
+        hits = (R.vec.add(prod, base_row) == 0).all(axis=1)  # code 0 is zero
+        if hits.any():
+            z = RG.from_coeffs(R.decode(int(c)) for c in rows[int(np.argmax(hits))])
             return CheckOutcome("condition2", z=z)
     return CheckOutcome("valid")
 
@@ -216,18 +231,14 @@ def _symbolic_condition2(S: SLCStructure, R, case: str, pieces: dict) -> dict:
     return {"mode": "symbolic", "reduced_to": reduced}
 
 
-def generate_witness(
-    S: SLCStructure,
-    R: CoefficientRing,
-    height_bound: int = 8,
-    z_budget: int = DEFAULT_Z_BUDGET,
-):
+def generate_witness(S: SLCStructure, R: CoefficientRing, z_budget: int = DEFAULT_Z_BUDGET):
     """First applicable witness in the fixed case order: presentation type 1;
     types 3-5; type 2 with m >= 4; an order-4 element of the abelian factor;
     an element of excluded prime order; a three-squares solution in R.
 
-    Returns a validated NonCleanWitness, None when no case applies, or
-    coeff.UNKNOWN when only the equation case remains undecided.
+    Returns a validated NonCleanWitness, or None when no case applies; the
+    equation case is always decided (``coeff.solve_three_squares``).  The
+    witness is also checked exhaustively when |R|^|Z(G)| <= z_budget.
     """
     G = S.group
     RG = GroupRing(G, R)
@@ -297,9 +308,7 @@ def generate_witness(
                 data.update({"g": G.names[g_idx], "p": p, "n": n})
                 pieces.update({"alpha": alpha, "beta": beta, "tau": tau})
             else:
-                sol = coeff.solve_three_squares(R, height_bound)
-                if sol is coeff.UNKNOWN:
-                    return coeff.UNKNOWN
+                sol = coeff.solve_three_squares(R)
                 if sol is coeff.NO_SOLUTION:
                     return None
                 case = CASE_THREE_SQUARES

@@ -57,6 +57,24 @@ def test_decide_q8xc7_exit_zero(capsys):
     assert code == 0
     assert out["verdict"]["status"] == "star-clean"
     assert any(r["citation"] == "CorollaryA.2" for r in out["verdict"]["reasons"])
+    # the paper settles 7 = 7 mod 8: no beyond-paper reason
+    assert all(r["citation"] != "FeinGordonSmith1971" for r in out["verdict"]["reasons"])
+
+
+def test_decide_q8xc73_by_local_degree(capsys):
+    # 73 = 1 mod 8, where the paper's level table stops at "2 or 4"
+    code = cli.main(["decide", "--group", "Q8xC73", "--ring", "Q", "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["verdict"]["status"] == "star-clean"
+    local = [r for r in out["verdict"]["reasons"] if r["citation"] == "FeinGordonSmith1971"]
+    assert local == [
+        {
+            "criterion": "equation-unsolvable-local-degree",
+            "citation": "FeinGordonSmith1971",
+            "data": {"d": 73, "d_odd": 73, "ord_2": 9, "basis": "beyond-paper:local-degree"},
+        }
+    ]
 
 
 def test_decide_q8xc3_exit_one(capsys):
@@ -88,6 +106,7 @@ def test_brute_clean_property(capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["result"]["result"] is True
+    assert out["involution"] is None  # a clean scan uses no involution
 
 
 def test_sampled_brute_scan_is_not_a_proof():
@@ -124,7 +143,7 @@ def test_brute_clean_needs_no_involution():
     job = cli.JobSpec(command="brute", group_spec="C3", ring_spec="F5", prop="clean")
     code, report = cli.run(job)
     assert code == 0
-    assert report["involution"] == "canonical"
+    assert report["involution"] is None
     assert report["result"]["mode"] == "full"
     assert report["result"]["result"] is True
 
@@ -155,6 +174,14 @@ def test_witness_none_over_q(capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["witness"] is None
+
+
+def test_witness_none_over_q_zeta73(capsys):
+    code = cli.main(["witness", "--group", "Q8", "--ring", "Q(zeta73)", "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["witness"] is None
+    assert out["outcome"] == "no-witness; necessary conditions hold"
 
 
 def test_canonical_command(capsys):

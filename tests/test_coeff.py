@@ -269,12 +269,74 @@ def test_cyclotomic_level_four_prime_has_no_solution():
     assert coeff.solve_three_squares(coeff.Qzeta(7)) is coeff.NO_SOLUTION
 
 
-def test_cyclotomic_unresolved_case_stays_unknown():
-    # ord_73(2) = 9 is odd and 73 = 1 mod 8: neither construction nor table applies
-    out = coeff.solve_three_squares(coeff.Qzeta(73), height_bound=1, candidate_budget=500)
-    assert out is coeff.UNKNOWN
+def test_cyclotomic_local_degree_case_has_no_solution():
+    # ord_73(2) = 9 is odd and 73 = 1 mod 8: the paper's level table says "2 or
+    # 4", the local degree 9 at 2 says no solution
+    F = coeff.Qzeta(73)
+    assert coeff.solve_three_squares(F) is coeff.NO_SOLUTION
+    assert coeff.local_degree_beyond_paper(F) == {"d": 73, "d_odd": 73, "ord_2": 9}
 
 
 def test_composite_d_inherits_solution_from_prime_divisor():
     sol = coeff.solve_three_squares(coeff.Qzeta(21))  # 3 | 21 gives level 2
     assert isinstance(sol, coeff.ThreeSquaresSolution) and sol.verify()
+
+
+# ---------------------------------------------------------------- closed form vs sympy
+
+def _odd_part(d):
+    while d % 2 == 0:
+        d //= 2
+    return d
+
+
+@pytest.mark.parametrize("d", range(1, 101))
+def test_cyclotomic_closed_form_matches_local_degree(d):
+    """Solvable in Q(zeta_d) iff 4 | d or ord_{d_odd}(2) is even (sympy)."""
+    sympy = pytest.importorskip("sympy")
+    d_odd = _odd_part(d)
+    even = d_odd > 1 and sympy.n_order(2, d_odd) % 2 == 0
+    F = coeff.Qzeta(d)
+    out = coeff.solve_three_squares(F)
+    if d % 4 == 0 or even:
+        assert isinstance(out, coeff.ThreeSquaresSolution) and out.verify()
+        assert coeff.local_degree_beyond_paper(F) is None
+        return
+    assert out is coeff.NO_SOLUTION
+    # beyond the paper: every unsolvable field but Q and d_odd a prime = 7 mod 8
+    paper = d_odd == 1 or (sympy.isprime(d_odd) and d_odd % 8 == 7)
+    local = coeff.local_degree_beyond_paper(F)
+    if paper:
+        assert local is None
+    else:
+        assert local == {"d": d, "d_odd": d_odd, "ord_2": sympy.n_order(2, d_odd)}
+
+
+def test_multiplicative_order_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from math import gcd
+
+    from starclean import numtheory
+
+    for n in range(2, 300):
+        for a in (2, 3, 5, 10, n - 1):
+            if gcd(a, n) == 1:
+                assert numtheory.multiplicative_order(a, n) == sympy.n_order(a, n), (a, n)
+
+
+def test_cyclotomic_polynomial_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for d in range(1, 106):
+        expected = sympy.Poly(sympy.cyclotomic_poly(d, x), x).all_coeffs()[::-1]
+        assert coeff.cyclotomic_polynomial(d) == tuple(int(c) for c in expected), d
+
+
+@pytest.mark.parametrize("d", [23, 73])
+def test_two_squares_search_finds_nothing_where_closed_form_says_unsolvable(d):
+    # the bounded search is independent of the local-degree rule: at height <= 1
+    # it finds no x^2 + y^2 = -1 where the closed form says none exists (d = 7:
+    # test_two_squares_search_finds_nothing_for_level_four)
+    F = coeff.Qzeta(d)
+    assert coeff.solve_three_squares(F) is coeff.NO_SOLUTION
+    assert coeff.two_squares_search(F, height_bound=1, candidate_budget=3000) is None

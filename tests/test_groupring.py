@@ -48,6 +48,42 @@ def test_carrier_mismatch_raises(rq8_f3, f5, q8):
         rq8_f3.one() + other.one()
 
 
+def _central_by_all_h(alpha):
+    """Reference: alpha h = h alpha for every group element h."""
+    G = alpha.group
+    RG = gr.GroupRing(G, alpha.ring)
+    return all(alpha * RG.basis(h) == RG.basis(h) * alpha for h in range(G.order))
+
+
+@pytest.mark.parametrize(
+    "presentation,k,k2,abelian",
+    [
+        (groups.Presentation.D2, 1, None, ()),
+        (groups.Presentation.D1, 1, None, ()),
+        (groups.Presentation.D3, 1, 1, ()),
+        (groups.Presentation.D2, 1, None, (3,)),
+    ],
+    ids=["Q8", "D1[k=1]", "D3[k=1,k2=1]", "Q8xC3"],
+)
+def test_is_central_matches_all_h_definition(presentation, k, k2, abelian, f3, qq):
+    S = groups.build_slc(presentation, k, k2, None, abelian)
+    G = S.group
+    rng = np.random.default_rng(11)
+    for R in (f3, qq):
+        RG = gr.GroupRing(G, R)
+        # class sums are central; adding a non-central basis element breaks it
+        for g in range(G.order):
+            cls = {G.conjugate(g, h) for h in range(G.order)}
+            class_sum = RG.from_int_coeffs([1 if x in cls else 0 for x in range(G.order)])
+            assert class_sum.is_central() and _central_by_all_h(class_sum)
+            for alpha in (RG.basis(g), class_sum + RG.basis(g), class_sum.scale(R.from_int(2))):
+                assert alpha.is_central() == _central_by_all_h(alpha)
+    RG = gr.GroupRing(G, f3)
+    for _ in range(20):
+        alpha = RG.random_element(rng)
+        assert alpha.is_central() == _central_by_all_h(alpha)
+
+
 # ---------------------------------------------------------------- involution
 
 def test_involution_on_x_plus_y(rq8_f3, q8, sigma_q8):

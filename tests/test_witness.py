@@ -1,7 +1,9 @@
+import itertools
+
 import pytest
 
 from starclean import coeff, decide, groups, groupring as gr, witness as wt
-from starclean.errors import PreconditionError
+from starclean.errors import BudgetError, PreconditionError
 from starclean.groups import Presentation as P
 
 
@@ -117,6 +119,86 @@ def test_check_witness_three_squares_gamma(q8, f3):
     gamma = (x + y).scale(f3.half) * oms
     w = wt.NonCleanWitness(gamma, RG.one(), "manual")
     assert wt.check_witness(q8.group, f3, sigma, w, q8.s).is_valid
+
+
+def _scalar_condition2(G, R, w, s_index):
+    """Reference for the batched check: one scalar product per z of R Z(G),
+    in itertools.product order of z's coefficients on the center's members."""
+    RG = gr.GroupRing(G, R)
+    oms = RG.one() - RG.basis(s_index)
+    base = (-w.gamma.scale(R.inv(R.from_int(4)))) * w.tau_w * oms
+    tau_oms = w.tau_w * oms
+    Z = groups.center(G)
+    for codes in itertools.product(range(R.order), repeat=Z.order):
+        coeffs = [R.zero] * G.order
+        for member, code in zip(Z.members, codes):
+            coeffs[member] = R.decode(code)
+        z = RG.from_coeffs(coeffs)
+        if (z * tau_oms + base).is_zero():
+            return "condition2", z
+    return "valid", None
+
+
+def _batched_matches_scalar(S, R, w):
+    out = wt.check_witness(S.group, R, groups.canonical_involution(S), w, S.s)
+    status, z = _scalar_condition2(S.group, R, w, S.s)
+    assert out.status == status
+    assert out.z == z
+    return out
+
+
+@pytest.mark.parametrize(
+    "presentation,k,k2,abelian,ring,case",
+    [
+        (P.D1, 1, None, (), coeff.GF(3), "presentation-type-1"),
+        (P.D3, 1, 1, (), coeff.GF(3), "presentation-type-3-5"),
+        (P.D2, 2, None, (), coeff.GF(3), "presentation-type-2-large-m"),
+        (P.D2, 1, None, (4,), coeff.GF(3), "order-4-element"),
+        (P.D2, 1, None, (3,), coeff.GF(5), "excluded-prime"),
+        (P.D2, 1, None, (), coeff.GF(3), "three-squares"),
+        (P.D2, 1, None, (), coeff.Zmod(9), "three-squares"),
+    ],
+)
+def test_batched_condition2_matches_scalar_on_generated_witnesses(
+    presentation, k, k2, abelian, ring, case
+):
+    S = groups.build_slc(presentation, k, k2, None, abelian)
+    w = wt.generate_witness(S, ring)
+    assert w.case_tag == case
+    assert _batched_matches_scalar(S, ring, w).is_valid
+
+
+def test_batched_condition2_matches_scalar_on_failing_pairs(q8, f3, z9, f5):
+    # condition 1 holds for each pair ((1 - gamma^2) = 0), condition 2 fails
+    # at a nonzero first z
+    q8c3 = groups.build_slc(P.D2, 1, abelian=(3,))
+    cases = []
+    for S, R in [(q8, f3), (q8, z9), (q8c3, f5)]:
+        RG = gr.GroupRing(S.group, R)
+        g = RG.basis(S.s)
+        cases.append((S, R, wt.NonCleanWitness(RG.one(), RG.one(), "manual")))
+        cases.append((S, R, wt.NonCleanWitness(g, RG.one(), "manual")))
+        cases.append((S, R, wt.NonCleanWitness(-g, RG.one(), "manual")))
+    c3 = next(m for m in q8c3.K.members if q8c3.group.element_order(m) == 3)
+    RG = gr.GroupRing(q8c3.group, f5)
+    cases.append((q8c3, f5, wt.NonCleanWitness(-RG.one(), RG.one() - RG.basis(c3), "manual")))
+    for S, R, w in cases:
+        out = _batched_matches_scalar(S, R, w)
+        assert out.status == "condition2"
+        assert not out.z.is_zero()
+
+
+def test_check_witness_budget_errors(q8, f3, qq):
+    w_q = wt.NonCleanWitness(
+        gr.GroupRing(q8.group, qq).one(), gr.GroupRing(q8.group, qq).one(), "manual"
+    )
+    with pytest.raises(BudgetError):
+        wt.check_witness(q8.group, qq, groups.canonical_involution(q8), w_q, q8.s)
+    RG = gr.GroupRing(q8.group, f3)
+    w = wt.NonCleanWitness(RG.one(), RG.one(), "manual")
+    with pytest.raises(BudgetError) as exc:
+        wt.check_witness(q8.group, f3, groups.canonical_involution(q8), w, q8.s, z_budget=8)
+    assert exc.value.cardinality == 9  # |F3|^|Z(Q8)|
 
 
 # ---------------------------------------------------------------- generation
