@@ -1,13 +1,18 @@
-"""Exact linear algebra over the coefficient rings (unit tests, solves, dets).
+"""Exact linear algebra over the coefficient rings: unit tests and solves.
 
-Matrices are represented two ways: numpy int64 arrays of element codes for
-the modular fast paths, and lists of payload lists for the generic field
-paths.  Over Z/n invertibility is checked per prime-power factor: a column
-with no unit entry forces the determinant into the prime, otherwise a unit
-pivot always exists.
+A finite coefficient ring is a free module over its prime rings, Z/p^e for
+each prime power p^e of Z/n and GF(p) for GF(p^k).  So an int64 code matrix
+over a finite ring becomes one matrix per prime ring, and a single modular
+elimination decides invertibility and solves: over Z/p^e a column with no
+unit entry forces the determinant into p, otherwise a unit pivot always
+exists.  Over GF(p^k) each entry expands into the k x k GF(p)-matrix of
+multiplication by it.  The infinite fields Q and Q(zeta_d) take a
+Gauss-Jordan elimination on lists of payloads.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 import numpy as np
 
@@ -15,104 +20,92 @@ from . import numtheory
 from .coeff import CoefficientRing, FiniteField, ModRing
 
 
-# --------------------------------------------------------------------------
-# modular elimination on int64 code matrices
-# --------------------------------------------------------------------------
+def _elim_mod(
+    M: np.ndarray, p: int, q: int, rhs: Optional[np.ndarray] = None
+) -> Optional[np.ndarray]:
+    """Elimination mod the prime power q = p^e; None when det(M) is not a unit.
 
-def _elim_unit_mod(M: np.ndarray, p: int, q: int) -> bool:
-    """True iff det(M) is a unit mod the prime power q = p^e."""
-    M = M % q
+    With rhs it runs Gauss-Jordan and returns the solution of M x = rhs mod q;
+    without rhs it runs forward only and returns an empty solution.
+    """
     n = M.shape[0]
+    A = M % q if rhs is None else np.concatenate([M, rhs[:, None]], axis=1) % q
     for c in range(n):
-        col = M[c:, c] % p
-        pivots = np.nonzero(col)[0]
-        if pivots.size == 0:
-            return False
-        r = c + int(pivots[0])
-        if r != c:
-            M[[c, r]] = M[[r, c]]
-        inv_piv = pow(int(M[c, c]), -1, q)
-        below = M[c + 1 :, c]
-        if below.size:
-            factors = (below * inv_piv) % q
-            M[c + 1 :] = (M[c + 1 :] - factors[:, None] * M[c]) % q
-    return True
-
-
-def _elim_solve_mod(M: np.ndarray, rhs: np.ndarray, p: int, q: int) -> np.ndarray | None:
-    """Solve M x = rhs mod the prime power q; None if det is not a unit."""
-    n = M.shape[0]
-    A = np.concatenate([M % q, rhs.reshape(n, 1) % q], axis=1)
-    for c in range(n):
-        col = A[c:, c] % p
-        pivots = np.nonzero(col)[0]
+        pivots = np.nonzero(A[c:, c] % p)[0]
         if pivots.size == 0:
             return None
         r = c + int(pivots[0])
         if r != c:
             A[[c, r]] = A[[r, c]]
-        inv_piv = pow(int(A[c, c]), -1, q)
-        A[c] = (A[c] * inv_piv) % q
-        others = [i for i in range(n) if i != c]
-        factors = A[others, c]
-        A[others] = (A[others] - factors[:, None] * A[c]) % q
-    return A[:, n]
+        A[c] = A[c] * pow(int(A[c, c]), -1, q) % q
+        if rhs is None:
+            if c + 1 < n:
+                A[c + 1 :] = (A[c + 1 :] - A[c + 1 :, c, None] * A[c]) % q
+        else:
+            factors = A[:, c].copy()
+            factors[c] = 0
+            A = (A - factors[:, None] * A[c]) % q
+    return A[:, n:] if rhs is None else A[:, n]
 
 
-def _bareiss_det_int(M: list[list[int]]) -> int:
-    """Exact integer determinant (fraction-free Gaussian elimination)."""
-    n = len(M)
-    M = [row[:] for row in M]
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        if M[c][c] == 0:
-            for r in range(c + 1, n):
-                if M[r][c] != 0:
-                    M[c], M[r] = M[r], M[c]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for r in range(c + 1, n):
-            for j in range(c + 1, n):
-                M[r][j] = (M[r][j] * M[c][c] - M[r][c] * M[c][j]) // prev
-            M[r][c] = 0
-        prev = M[c][c]
-    return sign * M[n - 1][n - 1]
+def _elim_codes(
+    ring: CoefficientRing, M: np.ndarray, rhs: Optional[np.ndarray] = None
+) -> Optional[np.ndarray]:
+    """`_elim_mod` on a finite ring's code matrix, piece by prime ring.
+
+    None when M is not invertible; otherwise the solution codes of M x = rhs,
+    empty without rhs.  Z/n combines its prime-power pieces by CRT, GF(p^k)
+    folds the GF(p) digits of the solution back into codes.
+    """
+    if isinstance(ring, ModRing):
+        parts = []
+        for p, e in ring.factorization:
+            part = _elim_mod(M, p, p**e, rhs)
+            if part is None:
+                return None
+            parts.append(part)
+        if rhs is None:
+            return part
+        moduli = [p**e for p, e in ring.factorization]
+        return np.array(
+            [numtheory.crt([int(s[i]) for s in parts], moduli) for i in range(M.shape[0])],
+            dtype=np.int64,
+        )
+    if not isinstance(ring, FiniteField):
+        raise TypeError(f"{ring!r} has no code matrices")
+    p, k = ring.p, ring.k
+    if k == 1:
+        return _elim_mod(M, p, p, rhs)
+    # column l of block (i, j) holds the digits of M[i, j] * w^l
+    n = M.shape[0]
+    pows = p ** np.arange(k)
+    digits = ring.vec.mul(M[:, :, None], pows)[..., None] // pows % p
+    E = digits.transpose(0, 3, 1, 2).reshape(n * k, n * k)
+    b = None if rhs is None else (rhs[:, None] // pows % p).reshape(n * k)
+    sol = _elim_mod(E, p, p, b)
+    if sol is None or rhs is None:
+        return sol
+    return np.array([ring.undigits(d) for d in sol.reshape(n, k)], dtype=np.int64)
 
 
-# --------------------------------------------------------------------------
-# generic field elimination on payload matrices
-# --------------------------------------------------------------------------
+def _field_elim(ring: CoefficientRing, rows: list[list], rhs: list | None = None):
+    """Gauss-Jordan elimination over a field on payload rows.
 
-def _field_elim(ring: CoefficientRing, rows: list[list], rhs: list | None):
-    """Gaussian elimination over a field.
-
-    Returns (det, solution) where solution solves M x = rhs (or None when
-    rhs is None); det is None when the matrix is singular.
+    Returns None when the matrix is singular; otherwise the solution of
+    M x = rhs, or the empty list when rhs is None.
     """
     n = len(rows)
     A = [row[:] for row in rows]
     b = rhs[:] if rhs is not None else None
-    det = ring.one
-    perm_sign = 1
     for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if not ring.is_zero(A[r][c]):
-                piv = r
-                break
+        piv = next((r for r in range(c, n) if not ring.is_zero(A[r][c])), None)
         if piv is None:
-            return None, None
+            return None
         if piv != c:
             A[c], A[piv] = A[piv], A[c]
             if b is not None:
                 b[c], b[piv] = b[piv], b[c]
-            perm_sign = -perm_sign
-        pv = A[c][c]
-        det = ring.mul(det, pv)
-        pv_inv = ring.inv(pv)
+        pv_inv = ring.inv(A[c][c])
         A[c] = [ring.mul(pv_inv, v) for v in A[c]]
         if b is not None:
             b[c] = ring.mul(pv_inv, b[c])
@@ -123,74 +116,30 @@ def _field_elim(ring: CoefficientRing, rows: list[list], rhs: list | None):
             A[r] = [ring.sub(v, ring.mul(f, w)) for v, w in zip(A[r], A[c])]
             if b is not None:
                 b[r] = ring.sub(b[r], ring.mul(f, b[c]))
-    if perm_sign < 0:
-        det = ring.neg(det)
-    return det, b
+    return [] if b is None else b
 
 
 # --------------------------------------------------------------------------
 # public interface
 # --------------------------------------------------------------------------
 
-def _is_code_matrix_ring(ring: CoefficientRing) -> bool:
-    return isinstance(ring, ModRing) or (isinstance(ring, FiniteField) and ring.k == 1)
-
-
 def is_invertible(ring: CoefficientRing, rows: list[list]) -> bool:
-    if _is_code_matrix_ring(ring):
-        M = np.asarray(rows, dtype=np.int64)
-        if isinstance(ring, FiniteField):
-            return _elim_unit_mod(M, ring.p, ring.p)
-        return all(_elim_unit_mod(M, p, p**e) for p, e in ring.factorization)
-    if ring.is_field:
-        det, _ = _field_elim(ring, rows, None)
-        return det is not None
-    raise TypeError(f"unsupported ring {ring!r}")
+    """Invertibility of a payload matrix over Q or Q(zeta_d)."""
+    return _field_elim(ring, rows) is not None
 
 
 def is_invertible_codes(ring: CoefficientRing, M: np.ndarray) -> bool:
-    """Fast path: M is already an int64 code matrix (ModRing / prime field)."""
-    if isinstance(ring, FiniteField) and ring.k == 1:
-        return _elim_unit_mod(M, ring.p, ring.p)
-    if isinstance(ring, ModRing):
-        return all(_elim_unit_mod(M, p, p**e) for p, e in ring.factorization)
-    raise TypeError(f"ring {ring!r} has no code-matrix fast path")
+    """Invertibility of an int64 code matrix over a finite ring."""
+    return _elim_codes(ring, M) is not None
 
 
-def solve_column(ring: CoefficientRing, rows: list[list], rhs: list):
-    """Solve M x = rhs exactly; None when M is not invertible."""
-    if _is_code_matrix_ring(ring):
-        M = np.asarray(rows, dtype=np.int64)
-        b = np.asarray(rhs, dtype=np.int64)
-        if isinstance(ring, FiniteField):
-            sol = _elim_solve_mod(M, b, ring.p, ring.p)
-            return None if sol is None else [int(v) for v in sol]
-        parts = []
-        moduli = []
-        for p, e in ring.factorization:
-            q = p**e
-            sol = _elim_solve_mod(M, b, p, q)
-            if sol is None:
-                return None
-            parts.append(sol)
-            moduli.append(q)
-        n = len(rhs)
-        out = []
-        for i in range(n):
-            out.append(numtheory.crt([int(s[i]) for s in parts], moduli))
-        return out
-    if ring.is_field:
-        det, sol = _field_elim(ring, rows, list(rhs))
-        return sol if det is not None else None
-    raise TypeError(f"unsupported ring {ring!r}")
+def solve_column(ring: CoefficientRing, rows, rhs: list):
+    """Solve M x = rhs exactly; None when M is not invertible.
 
-
-def det(ring: CoefficientRing, rows: list[list]):
-    """Exact determinant as a ring element."""
-    if isinstance(ring, ModRing):
-        d = _bareiss_det_int([[int(v) for v in row] for row in rows])
-        return ring.from_int(d)
-    if ring.is_field:
-        d, _ = _field_elim(ring, rows, None)
-        return ring.zero if d is None else d
-    raise TypeError(f"unsupported ring {ring!r}")
+    Over a finite ring `rows` is an int64 code matrix and the solution is a
+    list of codes; over Q and Q(zeta_d) it is a list of payload rows.
+    """
+    if ring.order is None:
+        return _field_elim(ring, rows, list(rhs))
+    sol = _elim_codes(ring, rows, np.asarray(rhs, dtype=np.int64))
+    return None if sol is None else sol.tolist()

@@ -596,9 +596,6 @@ class CyclotomicField(CoefficientRing):
         else:
             self.zeta = tuple(Fraction(1) if i == 1 else Fraction(0) for i in range(self.degree))
 
-    def _tuple(self, it):
-        return tuple(it)
-
     def add(self, a, b):
         return tuple(x + y for x, y in zip(a, b))
 

@@ -18,9 +18,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import _linalg, coeff, numtheory, witness as witness_mod
-from .coeff import CoefficientRing, FiniteField, ModRing, RationalField
+from .coeff import CoefficientRing, FiniteField, RationalField
 from .errors import CharDividesError, DiscrepancyError, PreconditionError
-from .groupring import GroupRing, GroupRingElement, counter_digits, idempotent_rows
+from .groupring import (
+    GroupRing,
+    GroupRingElement,
+    _regrep_index,
+    counter_digits,
+    idempotent_rows,
+)
 from .groups import (
     FiniteGroup,
     InvolutionMap,
@@ -133,22 +139,12 @@ class BruteReport:
         return out
 
 
-def _regrep_index(G: FiniteGroup) -> np.ndarray:
-    # T[k, h] = k * h^-1, so that codes[T] is the left regular representation
-    return G.mul[:, G.inverse]
-
-
 def _is_unit_codes(RG: GroupRing, codes: np.ndarray, T: np.ndarray, memo: dict) -> bool:
     key = codes.tobytes()
     hit = memo.get(key)
     if hit is not None:
         return hit
-    ring = RG.ring
-    M = codes[T]
-    if isinstance(ring, ModRing) or (isinstance(ring, FiniteField) and ring.k == 1):
-        out = _linalg.is_invertible_codes(ring, M)
-    else:
-        out = _linalg.is_invertible(ring, M.tolist())
+    out = _linalg.is_invertible_codes(RG.ring, codes[T])
     if len(memo) < (1 << 21):
         memo[key] = out
     return out

@@ -3,8 +3,9 @@ projection predicates, the central e/f splitting, and enumeration.
 
 Elements are dense coefficient tuples indexed by group element.  Unit
 testing goes through the left regular representation: alpha is a unit iff
-its |G| x |G| coefficient matrix is invertible over R, which works over the
-infinite coefficient rings as well.
+its |G| x |G| matrix is invertible over R.  Over a finite ring the matrix is
+an int64 code matrix, eliminated over the prime rings of R (see `_linalg`);
+over Q and Q(zeta_d) it is eliminated on payloads.
 """
 
 from __future__ import annotations
@@ -105,14 +106,14 @@ class GroupRingElement:
         self._check(other)
         R = self.ring
         mul = self.group.mul
-        out = [R.zero] * self.group.order
+        zero = R.zero  # built once: over Q each R.zero is a new Fraction
+        out = [zero] * self.group.order
+        right = [(h, ch) for h, ch in enumerate(other.coeffs) if ch != zero]
         for g, cg in enumerate(self.coeffs):
-            if R.is_zero(cg):
+            if cg == zero:
                 continue
             row = mul[g]
-            for h, ch in enumerate(other.coeffs):
-                if R.is_zero(ch):
-                    continue
+            for h, ch in right:
                 k = int(row[h])
                 out[k] = R.add(out[k], R.mul(cg, ch))
         return GroupRingElement(self.group, R, out)
@@ -226,23 +227,34 @@ def is_projection(alpha: GroupRingElement, sigma: InvolutionMap) -> bool:
     return is_idempotent(alpha) and apply_involution(sigma, alpha) == alpha
 
 
+def _regrep_index(G: FiniteGroup) -> np.ndarray:
+    # T[k, h] = k * h^-1, so that codes[T] is the left regular representation
+    return G.mul[:, G.inverse]
+
+
 def regular_representation(alpha: GroupRingElement) -> list[list[Payload]]:
-    """Matrix of left multiplication by alpha in the group basis.
+    """Matrix of left multiplication by alpha in the group basis, as payload
+    rows for the infinite rings Q and Q(zeta_d).
 
     Row k, column h holds the coefficient of alpha at k * h^-1, so that
     M @ vec(beta) = vec(alpha * beta).
     """
-    G = alpha.group
-    n = G.order
-    inv = G.inverse
-    mul_t = G.mul
-    return [
-        [alpha.coeffs[int(mul_t[k, int(inv[h])])] for h in range(n)] for k in range(n)
-    ]
+    return [[alpha.coeffs[h] for h in row] for row in _regrep_index(alpha.group).tolist()]
+
+
+def _code_representation(alpha: GroupRingElement) -> np.ndarray:
+    """The left regular representation of alpha over a finite ring, as codes."""
+    R = alpha.ring
+    codes = np.array([R.encode(c) for c in alpha.coeffs], dtype=np.int64)
+    return codes[_regrep_index(alpha.group)]
 
 
 def is_unit(alpha: GroupRingElement) -> bool:
-    return _linalg.is_invertible(alpha.ring, regular_representation(alpha))
+    """alpha is a unit iff left multiplication by it is invertible over R."""
+    R = alpha.ring
+    if R.order is None:
+        return _linalg.is_invertible(R, regular_representation(alpha))
+    return _linalg.is_invertible_codes(R, _code_representation(alpha))
 
 
 def unit_inverse(alpha: GroupRingElement) -> Optional[GroupRingElement]:
@@ -250,17 +262,17 @@ def unit_inverse(alpha: GroupRingElement) -> Optional[GroupRingElement]:
     G = alpha.group
     R = alpha.ring
     rhs = [R.one if k == G.identity else R.zero for k in range(G.order)]
-    sol = _linalg.solve_column(R, regular_representation(alpha), rhs)
+    if R.order is None:
+        sol = _linalg.solve_column(R, regular_representation(alpha), rhs)
+    else:
+        sol = _linalg.solve_column(R, _code_representation(alpha), [R.encode(c) for c in rhs])
+        sol = None if sol is None else [R.decode(c) for c in sol]
     if sol is None:
         return None
     beta = GroupRingElement(G, R, sol)
     if not (alpha * beta == GroupRing(G, R).one() and beta * alpha == GroupRing(G, R).one()):
         raise AssertionError("regular-representation inverse failed to verify")
     return beta
-
-
-def regrep_det(alpha: GroupRingElement) -> Payload:
-    return _linalg.det(alpha.ring, regular_representation(alpha))
 
 
 # --------------------------------------------------------------------------

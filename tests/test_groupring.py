@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from starclean import groups, groupring as gr
+from starclean import _linalg, cli, coeff, groups, groupring as gr
 from starclean.errors import BudgetError, CarrierMismatchError
 
 
@@ -163,23 +163,64 @@ def test_proper_idempotent_not_unit(q8, f3):
     assert not gr.is_unit(pair.f)
 
 
-@pytest.mark.parametrize("factors", [[2], [4]])
-def test_unit_predicate_matches_exhaustive_inverse_search(factors, f3):
+@pytest.mark.parametrize(
+    "factors, ring",
+    [
+        pytest.param([2], "F3", id="factors0"),
+        pytest.param([4], "F3", id="factors1"),
+        pytest.param([2], "F3^2", id="C2-F9"),
+        pytest.param([2], "Z/9", id="C2-Z9"),
+        pytest.param([2], "Z/15", id="C2-Z15"),
+    ],
+)
+def test_unit_predicate_matches_exhaustive_inverse_search(factors, ring):
     G = groups.build_abelian(factors)
-    RG = gr.GroupRing(G, f3)
+    RG = gr.GroupRing(G, coeff.make_ring(ring))
     els = list(gr.enumerate_elements(RG))
     one = RG.one()
     for a in els:
-        exhaustive = any(a * b == one for b in els)
-        assert exhaustive == gr.is_unit(a)
+        inverse = next((b for b in els if a * b == one), None)
+        assert gr.is_unit(a) == (inverse is not None)
+        assert gr.unit_inverse(a) == inverse
 
 
-def test_regrep_det_multiplicative(q8, f5):
-    RG = gr.GroupRing(q8.group, f5)
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        a, b = RG.random_element(rng), RG.random_element(rng)
-        assert gr.regrep_det(a * b) == f5.mul(gr.regrep_det(a), gr.regrep_det(b))
+def _near_unit_draws(RG, rng, count):
+    """Random elements, alternating with ones biased toward non-units: half
+    the coefficients zeroed, and every fourth draw times 1 + g, g != 1."""
+    R = RG.ring
+    n = RG.group.order
+    for i in range(count):
+        a = RG.random_element(rng)
+        if i % 2:
+            coeffs = list(a.coeffs)
+            for j in rng.choice(n, size=n // 2, replace=False):
+                coeffs[j] = R.zero
+            a = RG.from_coeffs(coeffs)
+            if i % 4 == 3:
+                a = a * (RG.one() + RG.basis(int(rng.integers(1, n))))
+        yield a
+
+
+@pytest.mark.parametrize("ring", ["F3^2", "F5^2", "F3^3", "F3^7"])
+@pytest.mark.parametrize("group", ["Q8", "D2[k=2]", "C3xC2"])
+def test_expanded_unit_test_matches_payload_elimination(group, ring):
+    """The GF(p)-expansion kernel against Gauss-Jordan on GF(p^k) payloads."""
+    G = cli.parse_group_spec(group)
+    G = getattr(G, "group", G)
+    R = coeff.make_ring(ring)
+    RG = gr.GroupRing(G, R)
+    draws = 6 if R.order > 1024 or G.order > 8 else 24
+    identity = [R.one if k == G.identity else R.zero for k in range(G.order)]
+    seen = set()
+    for a in _near_unit_draws(RG, np.random.default_rng(13), draws):
+        expected = _linalg._field_elim(R, gr.regular_representation(a), identity)
+        assert gr.is_unit(a) == (expected is not None)
+        inv = gr.unit_inverse(a)
+        assert (inv is None) == (expected is None)
+        if inv is not None:
+            assert list(inv.coeffs) == expected
+        seen.add(expected is None)
+    assert seen == {True, False}
 
 
 def test_units_over_infinite_rings(q8, qq):
