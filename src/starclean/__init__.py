@@ -10,20 +10,16 @@ cross-validation.
 from .coeff import (
     CyclotomicField,
     FiniteField,
-    GF,
     Level,
     ModRing,
     NO_SOLUTION,
-    Qzeta,
     RationalField,
     ThreeSquaresSolution,
     UNKNOWN,
-    Zmod,
     cyclotomic_polynomial,
     extend_with_root,
     level_classify_prime,
     make_ring,
-    rationals,
     solve_three_squares,
     two_squares_search,
 )
@@ -39,7 +35,6 @@ from .decide import (
     exists_n_dividing,
     necessary_conditions,
     perlis_walker,
-    theorem_b_decide,
     theorem_c_decide,
 )
 from .groupring import (
@@ -68,7 +63,6 @@ from .groups import (
     cyclic_group,
     direct_product,
     is_slc,
-    trivial_group,
 )
 from .witness import (
     NonCleanWitness,
@@ -78,7 +72,6 @@ from .witness import (
     check_witness,
     generate_witness,
     lift_c2,
-    problem_element,
     two_squares,
 )
 

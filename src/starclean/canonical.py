@@ -113,17 +113,6 @@ def reassemble(form: FCanonicalForm) -> GroupRingElement:
     return GroupRingElement(S.group, R, coeffs)
 
 
-def involution_formula(form: FCanonicalForm) -> FCanonicalForm:
-    """Closed form of the canonical involution on (RG)f: rows j >= 2 negate."""
-    R = form.ring
-    new_rows = [form.rows[0]]
-    for j in range(1, 4):
-        new_rows.append(
-            tuple(tuple(R.neg(c) for c in entry) for entry in form.rows[j])
-        )
-    return FCanonicalForm(form.slc, R, tuple(new_rows))
-
-
 def is_symmetric_f(form: FCanonicalForm) -> bool:
     """alpha = alpha* iff every row beyond the t_1 row vanishes."""
     return all(form.row_is_zero(j) for j in range(1, 4))

@@ -105,10 +105,6 @@ def parse_group_spec(text: str) -> groups.FiniteGroup | groups.SLCStructure:
     )
 
 
-def parse_ring_spec(text: str) -> coeff.CoefficientRing:
-    return coeff.make_ring(text)
-
-
 def _status_exit(status: Status) -> int:
     return {Status.STAR_CLEAN: 0, Status.NOT_STAR_CLEAN: 1, Status.UNKNOWN: 2}[status]
 
@@ -140,24 +136,12 @@ def _maybe_explain(report: dict, gobj, ring, job: JobSpec) -> None:
     for cert in report.get("certificates", []):
         if "gamma" in cert:
             gamma = RG.from_dict(
-                {k: _parse_payload(ring, v) for k, v in cert["gamma"].items()}
+                {k: ring.parse(v) for k, v in cert["gamma"].items()}
             )
             fpart = gamma * oms.scale(half)
             forms["gamma_f_part"] = canonical_mod.decompose_f(gobj, fpart).to_dict()
     if forms:
         report["canonical_forms"] = forms
-
-
-def _parse_payload(ring: coeff.CoefficientRing, text: str):
-    if isinstance(ring, (coeff.ModRing, coeff.FiniteField)) and ring.order is not None:
-        if text.isdigit():
-            return ring.from_int(int(text))
-        raise ParseError(f"cannot parse coefficient {text!r} for {ring!r}")
-    from fractions import Fraction
-
-    if isinstance(ring, coeff.RationalField):
-        return Fraction(text)
-    raise ParseError(f"coefficient parsing not supported for {ring!r}")
 
 
 def run(job: JobSpec) -> tuple[int, dict]:
@@ -174,7 +158,7 @@ def run(job: JobSpec) -> tuple[int, dict]:
         return 0, report
 
     gobj = parse_group_spec(job.group_spec)
-    ring = parse_ring_spec(job.ring_spec)
+    ring = coeff.make_ring(job.ring_spec)
     G = gobj.group if isinstance(gobj, groups.SLCStructure) else gobj
     report["group"] = (
         gobj.spec_string() if isinstance(gobj, groups.SLCStructure) else job.group_spec
@@ -250,7 +234,7 @@ def run(job: JobSpec) -> tuple[int, dict]:
         if job.element:
             RG = groupring.GroupRing(G, ring)
             raw = json.loads(job.element)
-            alpha = RG.from_dict({k: _parse_payload(ring, v) for k, v in raw.items()})
+            alpha = RG.from_dict({k: ring.parse(str(v)) for k, v in raw.items()})
             form = canonical_mod.decompose_f(gobj, alpha)
             out["form"] = form.to_dict()
             out["symmetric"] = canonical_mod.is_symmetric_f(form)

@@ -30,6 +30,7 @@ from .errors import (
     BudgetError,
     CharDividesError,
     NonUnitError,
+    ParseError,
     RingSpecError,
 )
 
@@ -41,15 +42,6 @@ _TABLE_CAP = 1024  # largest finite field that gets dense add/mul tables
 # --------------------------------------------------------------------------
 # integer polynomials (ascending coefficients), used for Phi_d
 # --------------------------------------------------------------------------
-
-def _int_poly_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return tuple(out)
-
 
 def _int_poly_div_exact(num: list[int], den: tuple[int, ...]) -> tuple[int, ...]:
     # den is monic; division must be exact
@@ -188,11 +180,49 @@ class CoefficientRing:
     def fmt(self, a: Payload) -> str:
         return str(a)
 
+    def parse(self, text: str) -> Payload:
+        """The payload that `fmt` writes as `text`; ParseError otherwise.
+        Here the digits that `fmt` writes for Z/n and GF(p)."""
+        if not (text.isascii() and text.isdigit()):
+            raise _parse_error(self, text)
+        return self.from_int(int(text))
+
     def spec_string(self) -> str:
         raise NotImplementedError
 
     def __repr__(self) -> str:
         return self.spec_string()
+
+
+def _parse_error(R: CoefficientRing, text: str) -> ParseError:
+    return ParseError(f"cannot parse coefficient {text!r} for {R!r}")
+
+
+# one signed term: c*v^i, c*v, v^i, v or c, with c an integer or a fraction
+_TERM_RE = re.compile(r"([+-]?)(?:(?:(\d+(?:/\d+)?)\*)?([a-z])(?:\^(\d+))?|(\d+(?:/\d+)?))")
+
+
+def _parse_poly(R: CoefficientRing, text: str, var: str, degree: int) -> list[Fraction]:
+    """Ascending coordinates of a sum of terms in the variable `var` of
+    powers below `degree`, the form `fmt` writes polynomial payloads in."""
+    coords = [Fraction(0)] * degree
+    pos = 0
+    while True:
+        m = _TERM_RE.match(text, pos)
+        if m is None or (pos and not m.group(1)):
+            raise _parse_error(R, text)
+        sign, coef, v, exp, const = m.groups()
+        power = 0 if v is None else int(exp or 1)
+        if (v is not None and v != var) or power >= degree:
+            raise _parse_error(R, text)
+        try:
+            value = Fraction(const or coef or 1)
+        except ZeroDivisionError:
+            raise _parse_error(R, text) from None
+        coords[power] += -value if sign == "-" else value
+        pos = m.end()
+        if pos == len(text):
+            return coords
 
 
 class ModRing(CoefficientRing):
@@ -370,7 +400,6 @@ class FiniteField(CoefficientRing):
                 raise RingSpecError("modulus must be monic of degree k")
             if not _is_irreducible(self.modulus, p):
                 raise RingSpecError("modulus polynomial is reducible")
-        self._generator: int | None = None
 
     # -- code <-> digit helpers -------------------------------------------
     def digits(self, code: int) -> tuple[int, ...]:
@@ -454,25 +483,6 @@ class FiniteField(CoefficientRing):
             neg=lambda A: negt[A],
         )
 
-    def generator(self) -> int:
-        """A multiplicative generator (smallest code), cached."""
-        if self._generator is None:
-            target = self.order - 1
-            fac = [q for q, _ in numtheory.factorize(target)]
-            for g in range(2, self.order):
-                if all(self.pow(g, target // q) != 1 for q in fac):
-                    self._generator = g
-                    break
-            else:
-                raise AssertionError("no generator found")
-        return self._generator
-
-    def zeta(self, d: int) -> int:
-        """An element of multiplicative order d (requires d | p^k - 1)."""
-        if (self.order - 1) % d != 0:
-            raise ValueError(f"{self!r} has no element of order {d}")
-        return self.pow(self.generator(), (self.order - 1) // d)
-
     def fmt(self, a):
         if self.k == 1:
             return str(a)
@@ -488,6 +498,14 @@ class FiniteField(CoefficientRing):
                 base = "w" if i == 1 else f"w^{i}"
                 terms.append(base if c == 1 else f"{c}*{base}")
         return "+".join(terms) if terms else "0"
+
+    def parse(self, text):
+        if self.k == 1:
+            return super().parse(text)
+        coords = _parse_poly(self, text, "w", self.k)
+        if any(c.denominator != 1 for c in coords):
+            raise _parse_error(self, text)
+        return self.undigits(coords)
 
     def spec_string(self):
         return f"F{self.p}" if self.k == 1 else f"F{self.p}^{self.k}"
@@ -532,6 +550,12 @@ class RationalField(CoefficientRing):
 
     def fmt(self, a):
         return str(a)
+
+    def parse(self, text):
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            raise _parse_error(self, text) from None
 
     def spec_string(self):
         return "Q"
@@ -676,9 +700,6 @@ class CyclotomicField(CoefficientRing):
             out = out + hi @ self._red_int[: hi.shape[0]]
         return out
 
-    def zeta_power(self, e: int):
-        return self.pow(self.zeta, e % self.d)
-
     def fmt(self, a):
         terms = []
         for i in range(self.degree - 1, -1, -1):
@@ -697,6 +718,9 @@ class CyclotomicField(CoefficientRing):
                     terms.append(f"{c}*{base}")
         return "+".join(terms).replace("+-", "-") if terms else "0"
 
+    def parse(self, text):
+        return tuple(_parse_poly(self, text, "z", self.degree))
+
     def spec_string(self):
         return f"Q(zeta{self.d})"
 
@@ -714,22 +738,6 @@ class CyclotomicField(CoefficientRing):
 _RING_RE = re.compile(
     r"^(?:Z/(?P<mod>\d+)|F(?P<p>\d+)(?:\^(?P<k>\d+))?|Q\(zeta(?P<d>\d+)\)|(?P<q>Q))$"
 )
-
-
-def Zmod(n: int) -> ModRing:
-    return ModRing(n)
-
-
-def GF(p: int, k: int = 1) -> FiniteField:
-    return FiniteField(p, k)
-
-
-def rationals() -> RationalField:
-    return RationalField()
-
-
-def Qzeta(d: int) -> CyclotomicField:
-    return CyclotomicField(d)
 
 
 def make_ring(spec: str) -> CoefficientRing:
@@ -763,25 +771,6 @@ def extend_with_root(F: CoefficientRing, d: int) -> CoefficientRing:
         r = numtheory.multiplicative_order(F.order % d, d) if d > 1 else 1
         return F if r == 1 else FiniteField(F.p, F.k * r)
     raise TypeError(f"cannot extend {F!r}")
-
-
-def root_of_unity(F: CoefficientRing, d: int) -> Payload:
-    """A primitive d-th root of unity in F (F must contain one)."""
-    if isinstance(F, RationalField):
-        if d == 1:
-            return F.one
-        if d == 2:
-            return F.neg(F.one)
-        raise ValueError(f"Q contains no primitive {d}-th root of unity")
-    if isinstance(F, CyclotomicField):
-        if F.d % d != 0:
-            if d == 2 and F.d % 2 == 1:
-                return F.neg(F.one)
-            raise ValueError(f"{F!r} contains no primitive {d}-th root of unity")
-        return F.zeta_power(F.d // d)
-    if isinstance(F, FiniteField):
-        return F.zeta(d)
-    raise TypeError
 
 
 # --------------------------------------------------------------------------
@@ -877,7 +866,7 @@ def _two_squares_from_root_chain(F: CyclotomicField, p: int, n: int):
     Runs the doubling recursion on g = zeta_p:  a^2 + b^2 = prod(1 + g^(2^k),
     k < n) = -g^(-1); multiplying both by g^((p+1)/2) then gives -1.
     """
-    g = F.zeta_power(F.d // p)
+    g = F.pow(F.zeta, F.d // p)
     a = F.one
     b = F.pow(g, (p + 1) // 2)
     for t in range(n - 1):
@@ -939,7 +928,7 @@ def _cyclotomic_three_squares(F: CyclotomicField) -> SolveOutcome:
     if F.degree == 1:
         return NO_SOLUTION  # the field is Q itself, formally real
     if d % 4 == 0:
-        i = F.zeta_power(d // 4)
+        i = F.pow(F.zeta, d // 4)
         sol = ThreeSquaresSolution(F, i, F.zero, F.zero)
         assert sol.verify()
         return sol

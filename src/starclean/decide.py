@@ -521,43 +521,6 @@ def theorem_c_decide(fields: Sequence[CoefficientRing], A: FiniteGroup) -> Verdi
     return Verdict(Status.STAR_CLEAN, reasons, certs)
 
 
-def theorem_b_decide(
-    R: CoefficientRing, rank: int, clean_status: Optional[bool]
-) -> Verdict:
-    """Elementary-2-factor biconditional for G = Q8 x C2^rank: *-clean iff
-    RG is clean and the equation has no solution in R.  ``clean_status`` is
-    an input flag (or a brute result); None propagates to Unknown."""
-    if rank < 0:
-        raise PreconditionError("rank must be >= 0")
-    out = coeff.solve_three_squares(R)
-    if isinstance(out, coeff.ThreeSquaresSolution):
-        return Verdict(
-            Status.NOT_STAR_CLEAN,
-            [Reason("equation-solvable", "TheoremB", {"rank": rank})],
-            [
-                {
-                    "kind": "three-squares",
-                    "ring": R.spec_string(),
-                    "triple": out.as_strings(),
-                }
-            ],
-        )
-    if clean_status is False:
-        return Verdict(
-            Status.NOT_STAR_CLEAN,
-            [Reason("not-clean", "TheoremB", {"rank": rank})],
-        )
-    if clean_status is None:
-        return Verdict(
-            Status.UNKNOWN,
-            [Reason("undetermined", "TheoremB", {"missing": ["cleanness"], "rank": rank})],
-        )
-    return Verdict(
-        Status.STAR_CLEAN,
-        [Reason("clean-and-equation-unsolvable", "TheoremB", {"rank": rank})],
-    )
-
-
 def direct_sum_reduce(verdicts: Sequence[Verdict]) -> Verdict:
     """Componentwise combinator: *-clean iff every component is."""
     if not verdicts:

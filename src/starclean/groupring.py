@@ -1,5 +1,6 @@
 """Group-ring arithmetic RG with involution extension, idempotent/unit/
-projection predicates, the central e/f splitting, and enumeration.
+projection predicates, the central e/f splitting, and the batched
+idempotent-row stream over code matrices.
 
 Elements are dense coefficient tuples indexed by group element.  Unit
 testing goes through the left regular representation: alpha is a unit iff
@@ -19,9 +20,6 @@ from . import _linalg
 from .coeff import CoefficientRing, Payload
 from .errors import BudgetError, CarrierMismatchError, PreconditionError
 from .groups import FiniteGroup, InvolutionMap, SLCStructure, Subgroup, quotient_group
-
-DEFAULT_ENUM_BUDGET = 1 << 23
-
 
 class GroupRingElement:
     """An element of RG as an immutable dense coefficient vector."""
@@ -186,10 +184,6 @@ class GroupRing:
         for name, c in d.items():
             out[self.group.index_of(name)] = c
         return GroupRingElement(self.group, self.ring, out)
-
-    def from_int_coeffs(self, coeffs) -> GroupRingElement:
-        R = self.ring
-        return GroupRingElement(self.group, R, (R.from_int(c) for c in coeffs))
 
     def element_count(self) -> Optional[int]:
         if self.ring.order is None:
@@ -360,69 +354,6 @@ def split(alpha: GroupRingElement, pair: CentralIdempotentPair) -> SplitParts:
     return SplitParts(pair, Q, coset_map, tuple(reps), e_part, f_part)
 
 
-# --------------------------------------------------------------------------
-# enumeration
-# --------------------------------------------------------------------------
-
-def _require_finite(RG: GroupRing) -> int:
-    count = RG.element_count()
-    if count is None:
-        raise BudgetError(f"{RG.ring!r} is infinite; enumeration impossible")
-    return count
-
-
-def enumerate_elements(RG: GroupRing, budget: int = DEFAULT_ENUM_BUDGET) -> Iterator[GroupRingElement]:
-    """All of RG in counter order (identity coefficient varies fastest)."""
-    count = _require_finite(RG)
-    if count > budget:
-        raise BudgetError(
-            f"|R|^|G| = {count} exceeds budget {budget}", cardinality=count
-        )
-    R = RG.ring
-    n = RG.group.order
-    q = R.order
-    for counter in range(count):
-        rem = counter
-        coeffs = []
-        for _ in range(n):
-            rem, code = rem // q, rem % q
-            coeffs.append(R.decode(code))
-        yield RG.from_coeffs(coeffs)
-
-
-def enumerate_units(RG: GroupRing, budget: int = DEFAULT_ENUM_BUDGET) -> Iterator[GroupRingElement]:
-    for alpha in enumerate_elements(RG, budget):
-        if is_unit(alpha):
-            yield alpha
-
-
-def enumerate_projections(
-    RG: GroupRing, sigma: InvolutionMap, budget: int = DEFAULT_ENUM_BUDGET
-) -> Iterator[GroupRingElement]:
-    """Projections streamed over the sigma-symmetric subspace only."""
-    count = _require_finite(RG)  # also validates finiteness
-    orbits = sigma.orbits()
-    R = RG.ring
-    sym_count = R.order ** len(orbits)
-    if sym_count > budget:
-        raise BudgetError(
-            f"|R|^orbits = {sym_count} exceeds budget {budget}", cardinality=sym_count
-        )
-    n = RG.group.order
-    q = R.order
-    for counter in range(sym_count):
-        rem = counter
-        coeffs = [R.zero] * n
-        for orbit in orbits:
-            rem, code = rem // q, rem % q
-            val = R.decode(code)
-            for g in orbit:
-                coeffs[g] = val
-        alpha = RG.from_coeffs(coeffs)
-        if is_idempotent(alpha):
-            yield alpha
-
-
 # codes per candidate block and per convolution chunk: bounded memory, and
 # chunks small enough for the convolution's temporaries to stay in cache
 _CANDIDATE_CELLS = 1 << 19
@@ -471,8 +402,9 @@ def idempotent_rows(
     `samples` seeded uniform draws, and rows may repeat; without `samples`
     this raises BudgetError at the call, before any chunk is computed.
     """
-    _require_finite(RG)
     q = RG.ring.order
+    if q is None:
+        raise BudgetError(f"{RG.ring!r} is infinite; enumeration impossible")
     card = q**dims
     block = max(1, _CANDIDATE_CELLS // RG.group.order)
     step = max(1, _CONVOLVE_CELLS // RG.group.order)

@@ -74,9 +74,6 @@ class FiniteGroup:
     def is_abelian(self) -> bool:
         return bool(np.array_equal(self.mul, self.mul.T))
 
-    def name_of(self, g: int) -> str:
-        return self.names[g]
-
     def index_of(self, name: str) -> int:
         return self.names.index(name)
 
@@ -239,16 +236,12 @@ class SLCStructure:
         return "x".join(parts)
 
 
-def _check_capacity(order: int, order_cap: int) -> None:
-    if order > order_cap:
-        raise CapacityError(f"group order {order} exceeds cap {order_cap}")
+def _check_capacity(order: int) -> None:
+    if order > DEFAULT_ORDER_CAP:
+        raise CapacityError(f"group order {order} exceeds cap {DEFAULT_ORDER_CAP}")
 
 
-def build_abelian(
-    invariant_factors: Iterable[int],
-    order_cap: int = DEFAULT_ORDER_CAP,
-    gen_prefix: str = "c",
-) -> FiniteGroup:
+def build_abelian(invariant_factors: Iterable[int]) -> FiniteGroup:
     """Direct product of cyclic groups of the given orders.
 
     Element index is the mixed-radix encoding of the exponent tuple, first
@@ -261,7 +254,7 @@ def build_abelian(
     order = 1
     for f in factors:
         order *= f
-    _check_capacity(order, order_cap)
+    _check_capacity(order)
 
     idx = np.arange(order)
     digits = []
@@ -287,14 +280,14 @@ def build_abelian(
         for pos, f in enumerate(factors):
             rem, e = rem // f, rem % f
             if e:
-                gen = f"{gen_prefix}{pos + 1}"
+                gen = f"c{pos + 1}"
                 parts.append(gen if e == 1 else f"{gen}^{e}")
         names.append("*".join(parts) if parts else "1")
 
     gens = {}
     stride = 1
     for pos, f in enumerate(factors):
-        gens[f"{gen_prefix}{pos + 1}"] = stride
+        gens[f"c{pos + 1}"] = stride
         stride *= f
 
     return FiniteGroup(
@@ -307,10 +300,6 @@ def build_abelian(
     )
 
 
-def trivial_group() -> FiniteGroup:
-    return build_abelian([])
-
-
 def cyclic_group(n: int) -> FiniteGroup:
     return build_abelian([n])
 
@@ -321,7 +310,6 @@ def build_slc(
     k2: Optional[int] = None,
     k3: Optional[int] = None,
     abelian: Iterable[int] = (),
-    order_cap: int = DEFAULT_ORDER_CAP,
 ) -> SLCStructure:
     """Construct D_ptype x A with explicit multiplication table.
 
@@ -370,7 +358,7 @@ def build_slc(
     for f in k_radices:
         ksize *= f
     order = 4 * m * ksize
-    _check_capacity(order, order_cap)
+    _check_capacity(order)
 
     # index = ((j * half_m + i) * ksize + kappa) * 2 + delta, a-exponent = i + half_m*delta
     idx = np.arange(order)
@@ -491,12 +479,10 @@ def build_slc(
     )
 
 
-def direct_product(
-    G: FiniteGroup, H: FiniteGroup, order_cap: int = DEFAULT_ORDER_CAP
-) -> FiniteGroup:
+def direct_product(G: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     """Componentwise product; index of (g, h) is g * |H| + h."""
     order = G.order * H.order
-    _check_capacity(order, order_cap)
+    _check_capacity(order)
     nh = H.order
     table = (G.mul[:, :, None, None].astype(np.int64) * nh + H.mul[None, None, :, :]).transpose(
         0, 2, 1, 3

@@ -21,12 +21,11 @@ from .errors import BudgetError, PreconditionError
 from .groupring import (
     GroupRing,
     GroupRingElement,
-    apply_involution,
     batch_convolve,
     counter_digits,
     is_projection,
     is_unit,
-    unit_inverse,
+    unit_inverse,  # noqa: F401  unused here; perfbench's tracer test asserts this binding
 )
 from .groups import (
     FiniteGroup,
@@ -344,13 +343,6 @@ def _canonical_sigma(S: SLCStructure) -> InvolutionMap:
     return canonical_involution(S)
 
 
-def problem_element(S: SLCStructure, R: CoefficientRing, w: NonCleanWitness) -> GroupRingElement:
-    """h = 4^-1 (1 + gamma)(1 - s), the element with no decomposition."""
-    RG = GroupRing(S.group, R)
-    quarter = R.inv(R.from_int(4))
-    return ((RG.one() + w.gamma) * _one_minus_s(RG, S.s)).scale(quarter)
-
-
 # --------------------------------------------------------------------------
 # *-clean decompositions and the C2 lift
 # --------------------------------------------------------------------------
@@ -389,17 +381,15 @@ def lift_c2(
 ) -> LiftResult:
     """Lift a *-clean decomposition r = u + p in RH to R[H x C2].
 
-    Across RG = RH + Delta(G, C2) the Delta-part of the target is
-    (r/2)(1-a), decomposed as (u/2)(1-a) + (p/2)(1-a) with unity of the
-    Delta component (1-a)/2; recombined with the complementary (1+a)/2
-    component this is a full decomposition of the embedded target in RG,
-    which is re-validated before returning.
+    h -> (h, 1) embeds RH in RG as a unital subring closed under the extended
+    involution, which fixes the new generator a = (1, c1); so the embedded u
+    and p decompose the embedded r.  The pair is re-validated in RG before
+    returning.
     """
     dec.validate(sigma_H)
     H = RH.group
     R = RH.ring
     G = direct_product(H, cyclic_group(2))
-    # the extension fixes the new generator a = (1, c1)
     image = [int(sigma_H.image[h]) * 2 + c for h in range(H.order) for c in (0, 1)]
     sigma_G = InvolutionMap(G, image)
     sigma_G.validate()
@@ -407,34 +397,9 @@ def lift_c2(
 
     def embed(el: GroupRingElement) -> GroupRingElement:
         coeffs = [R.zero] * G.order
-        for h, c in enumerate(el.coeffs):
-            coeffs[h * 2] = c
+        coeffs[::2] = el.coeffs  # (h, 1) has index 2h
         return RG.from_coeffs(coeffs)
 
-    a_el = RG.basis(H.identity * 2 + 1)
-    one = RG.one()
-    half = R.half
-    e_plus = (one + a_el).scale(half)  # unity of the RH component
-    f_minus = (one - a_el).scale(half)  # unity of Delta(G, C2)
-
-    u_emb, p_emb, r_emb = embed(dec.unit), embed(dec.projection), embed(dec.target())
-    # Delta-side pieces (u/2)(1-a), (p/2)(1-a) plus the complementary component
-    u_delta = u_emb.scale(half) * (one - a_el)
-    p_delta = p_emb.scale(half) * (one - a_el)
-    lifted_unit = u_emb * e_plus + u_delta
-    lifted_proj = p_emb * e_plus + p_delta
-    target = r_emb * e_plus + r_emb.scale(half) * (one - a_el)
-
-    # the Delta-side unit inverts against the Delta unity
-    u_inv = unit_inverse(dec.unit)
-    check = u_delta * (embed(u_inv).scale(half) * (one - a_el))
-    if check != f_minus:
-        raise AssertionError("Delta-component unit check failed")
-    if p_delta * p_delta != p_delta or apply_involution(sigma_G, p_delta) != p_delta:
-        raise AssertionError("Delta-component projection check failed")
-
-    out = StarCleanDecomposition(lifted_unit, lifted_proj)
+    out = StarCleanDecomposition(embed(dec.unit), embed(dec.projection))
     out.validate(sigma_G)
-    if out.target() != target:
-        raise AssertionError("lifted decomposition misses the target")
-    return LiftResult(G, R, sigma_G, out, target)
+    return LiftResult(G, R, sigma_G, out, out.target())

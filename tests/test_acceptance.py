@@ -22,6 +22,7 @@ from starclean import (
 )
 from starclean.decide import Budget
 from starclean.groups import Presentation as P
+from conftest import enumerate_elements, involution_formula, problem_element
 
 
 @contextmanager
@@ -98,7 +99,7 @@ def _exhaustive_f_projections(S, R):
 
 def test_f_projection_formula_matches_exhaustive():
     with criterion("f-projections: idempotent d(1-s) vs exhaustive scan"):
-        F3 = coeff.GF(3)
+        F3 = coeff.FiniteField(3)
         q8 = groups.build_slc(P.D2, 1)
         RG = gr.GroupRing(q8.group, F3)
         oms = RG.one() - RG.basis(q8.s)
@@ -116,7 +117,7 @@ def test_f_projection_formula_matches_exhaustive():
 
 def test_involution_formula_oracle():
     with criterion("involution formula vs linear extension (81 exact + 1000 random)"):
-        F3 = coeff.GF(3)
+        F3 = coeff.FiniteField(3)
         q8 = groups.build_slc(P.D2, 1)
         RG = gr.GroupRing(q8.group, F3)
         sigma = groups.canonical_involution(q8)
@@ -129,13 +130,13 @@ def test_involution_formula_oracle():
                 vec[rep] = c
             alpha = RG.from_coeffs(vec) * oms
             form = cn.decompose_f(q8, alpha)
-            assert cn.reassemble(cn.involution_formula(form)) == gr.apply_involution(
+            assert cn.reassemble(involution_formula(form)) == gr.apply_involution(
                 sigma, alpha
             )
             count += 1
         assert count == 81
 
-        F5 = coeff.GF(5)
+        F5 = coeff.FiniteField(5)
         s = groups.build_slc(P.D2, 1, abelian=[3])
         RG5 = gr.GroupRing(s.group, F5)
         sigma5 = groups.canonical_involution(s)
@@ -144,7 +145,7 @@ def test_involution_formula_oracle():
         for _ in range(1000):
             alpha = RG5.random_element(rng) * oms5
             form = cn.decompose_f(s, alpha)
-            assert cn.reassemble(cn.involution_formula(form)) == gr.apply_involution(
+            assert cn.reassemble(involution_formula(form)) == gr.apply_involution(
                 sigma5, alpha
             )
 
@@ -155,7 +156,7 @@ def test_involution_formula_oracle():
 
 def test_square_chain_identities():
     with criterion("two-squares and annihilator certificates (exact sweep)", 60):
-        rings = [coeff.Zmod(9), coeff.Zmod(25), coeff.GF(7)]
+        rings = [coeff.ModRing(9), coeff.ModRing(25), coeff.FiniteField(7)]
         for p in (3, 5, 11, 13):
             Cp = groups.cyclic_group(p)
             for R in rings:
@@ -206,14 +207,14 @@ def test_witness_soundness_sweep():
             z_budget=700,
             seed=0,
         )
-        rings = [coeff.GF(3), coeff.GF(5), coeff.Zmod(9)]
+        rings = [coeff.FiniteField(3), coeff.FiniteField(5), coeff.ModRing(9)]
         carriers = 0
         for S in _presentations_up_to_32():
             sigma = groups.canonical_involution(S)
             for R in rings:
                 w = wt.generate_witness(S, R, z_budget=budget.z_budget)
                 assert isinstance(w, wt.NonCleanWitness), (S.spec_string(), R)
-                h = wt.problem_element(S, R, w)
+                h = problem_element(S, R, w)
                 # the derived problem element must admit no decomposition
                 dec = decide.element_star_clean(h, sigma, budget)
                 assert dec is None, (S.spec_string(), R.spec_string())
@@ -222,7 +223,7 @@ def test_witness_soundness_sweep():
         # smallest carriers: confirm the full brute scan agrees
         for S in (groups.build_slc(P.D1, 1), groups.build_slc(P.D2, 1)):
             rep = decide.brute_star_clean(
-                S.group, groups.canonical_involution(S), coeff.GF(3)
+                S.group, groups.canonical_involution(S), coeff.FiniteField(3)
             )
             assert rep.result is False and rep.structure_full
 
@@ -284,7 +285,7 @@ def test_rational_verdicts():
             for r in reasons
         )
         assert (2**4 + 1) % 17 == 0
-        sol = coeff.solve_three_squares(coeff.Qzeta(17))
+        sol = coeff.solve_three_squares(coeff.CyclotomicField(17))
         assert isinstance(sol, coeff.ThreeSquaresSolution) and sol.verify()
 
 
@@ -294,15 +295,15 @@ def test_rational_verdicts():
 
 def test_lift_100_random_decompositions():
     with criterion("lift 100 random decompositions F3[C2] -> F3[C2xC2]", 10):
-        F3 = coeff.GF(3)
+        F3 = coeff.FiniteField(3)
         c2 = groups.cyclic_group(2)
         RC2 = gr.GroupRing(c2, F3)
         sigma = groups.classical_involution(c2)  # the identity involution here
         projs = [
-            p for p in gr.enumerate_elements(RC2) if gr.is_projection(p, sigma)
+            p for p in enumerate_elements(RC2) if gr.is_projection(p, sigma)
         ]
         all_decs = []
-        for alpha in gr.enumerate_elements(RC2):
+        for alpha in enumerate_elements(RC2):
             for q in projs:
                 u = alpha - q
                 if gr.is_unit(u):
@@ -343,7 +344,7 @@ def _abelian_groups_up_to(limit):
 
 def test_perlis_walker_mass_check():
     with criterion("semisimple decomposition mass: all abelian |A| <= 256"):
-        fields = [coeff.rationals(), coeff.GF(3), coeff.GF(5)]
+        fields = [coeff.RationalField(), coeff.FiniteField(3), coeff.FiniteField(5)]
         checked = 0
         for A in _abelian_groups_up_to(256):
             for F in fields:

@@ -243,6 +243,38 @@ def test_explain_attaches_canonical_forms(capsys):
     assert "canonical_forms" in out
 
 
+@pytest.mark.parametrize(
+    "command, ring", [("decide", "F3^2"), ("decide", "Q(zeta3)"), ("witness", "F7^2")]
+)
+def test_explain_reads_polynomial_coefficients(capsys, command, ring):
+    code = cli.main([command, "--group", "Q8", "--ring", ring, "--explain", "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    gamma = next(c["gamma"] for c in out["certificates"] if "gamma" in c)
+    assert not all(v.isdigit() for v in gamma.values())
+    # gamma lies in (RG)f, so its t = x row is its coefficient on x
+    assert out["canonical_forms"]["gamma_f_part"]["t=x,a^0"] == {"1": gamma["x"]}
+
+
+def test_canonical_element_over_extension_field(capsys):
+    element = json.dumps({"x": "w", "x*s": "2*w"})  # w x (1 - s) over F3^2
+    code = cli.main(
+        ["canonical", "--group", "Q8", "--ring", "F3^2", "--element", element, "--json"]
+    )
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["canonical"]["roundtrip_ok"] is True
+    assert out["canonical"]["form"] == {"t=x,a^0": {"1": "w"}}
+
+
+def test_canonical_element_with_json_numbers(capsys):
+    element = json.dumps({"1": 1, "s": 2})  # 1 - s over F3, as JSON numbers
+    code = cli.main(["canonical", "--group", "Q8", "--ring", "F3", "--element", element, "--json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert out["canonical"]["roundtrip_ok"] is True
+
+
 # ---------------------------------------------------------------- error exits
 
 def test_parse_error_exit_three(capsys):

@@ -1,41 +1,42 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from starclean import coeff
-from starclean.errors import CharDividesError, NonUnitError, RingSpecError
+from starclean.errors import CharDividesError, NonUnitError, ParseError, RingSpecError
 
 
 # ---------------------------------------------------------------- construction
 
 def test_zmod_two_inverse():
-    assert coeff.Zmod(9).inv(2) == 5
+    assert coeff.ModRing(9).inv(2) == 5
 
 
 def test_f9_modulus_is_least_lex_irreducible():
-    F9 = coeff.GF(3, 2)
+    F9 = coeff.FiniteField(3, 2)
     assert F9.order == 9
     assert F9.modulus == (1, 0, 1)  # x^2 + 1 has no root mod 3
 
 
 def test_even_modulus_rejected():
     with pytest.raises(RingSpecError):
-        coeff.Zmod(4)
+        coeff.ModRing(4)
     with pytest.raises(RingSpecError):
-        coeff.GF(2)
+        coeff.FiniteField(2)
 
 
 def test_nonprime_p_rejected():
     with pytest.raises(RingSpecError):
-        coeff.GF(9)
+        coeff.FiniteField(9)
 
 
 def test_make_ring_strings():
-    assert coeff.make_ring("Z/9") == coeff.Zmod(9)
-    assert coeff.make_ring("F3^2") == coeff.GF(3, 2)
-    assert coeff.make_ring("Q") == coeff.rationals()
-    assert coeff.make_ring("Q(zeta7)") == coeff.Qzeta(7)
+    assert coeff.make_ring("Z/9") == coeff.ModRing(9)
+    assert coeff.make_ring("F3^2") == coeff.FiniteField(3, 2)
+    assert coeff.make_ring("Q") == coeff.RationalField()
+    assert coeff.make_ring("Q(zeta7)") == coeff.CyclotomicField(7)
     with pytest.raises(RingSpecError):
         coeff.make_ring("GF(3)")
 
@@ -66,13 +67,21 @@ def test_cyclotomic_seven_matches_division_oracle():
     assert coeff.cyclotomic_polynomial(7) == expected == (1,) * 7
 
 
+def _int_poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return tuple(out)
+
+
 @pytest.mark.parametrize("d", range(1, 31))
 def test_cyclotomic_product_identity(d):
     from starclean import numtheory
 
     prod = (1,)
     for e in numtheory.divisors(d):
-        prod = coeff._int_poly_mul(prod, coeff.cyclotomic_polynomial(e))
+        prod = _int_poly_mul(prod, coeff.cyclotomic_polynomial(e))
     target = [0] * (d + 1)
     target[0], target[d] = -1, 1
     assert prod == tuple(target)
@@ -81,28 +90,30 @@ def test_cyclotomic_product_identity(d):
 # ---------------------------------------------------------------- extensions
 
 def test_extend_rationals_with_seventh_root():
-    E = coeff.extend_with_root(coeff.rationals(), 7)
+    E = coeff.extend_with_root(coeff.RationalField(), 7)
     assert isinstance(E, coeff.CyclotomicField) and E.degree == 6
 
 
 def test_extend_f3_with_eighth_root():
-    E = coeff.extend_with_root(coeff.GF(3), 8)
+    E = coeff.extend_with_root(coeff.FiniteField(3), 8)
     assert isinstance(E, coeff.FiniteField) and E.order == 9
-    z = coeff.root_of_unity(E, 8)
-    assert E.pow(z, 8) == E.one
-    assert all(E.pow(z, e) != E.one for e in range(1, 8))
+    # some element has multiplicative order exactly 8
+    assert any(
+        E.pow(z, 8) == E.one and all(E.pow(z, e) != E.one for e in range(1, 8))
+        for z in E.elements()
+    )
 
 
 def test_extend_trivial_root_returns_same_field():
-    F = coeff.GF(5)
+    F = coeff.FiniteField(5)
     assert coeff.extend_with_root(F, 1) is F
-    Q = coeff.rationals()
+    Q = coeff.RationalField()
     assert coeff.extend_with_root(Q, 1) is Q
 
 
 def test_extend_char_divides_rejected():
     with pytest.raises(CharDividesError):
-        coeff.extend_with_root(coeff.GF(3), 6)
+        coeff.extend_with_root(coeff.FiniteField(3), 6)
 
 
 # ---------------------------------------------------------------- units
@@ -114,22 +125,22 @@ def test_three_not_unit_mod_nine(z9):
 
 
 def test_zeta7_unit_with_power_inverse():
-    F = coeff.Qzeta(7)
+    F = coeff.CyclotomicField(7)
     assert F.is_unit(F.zeta)
     assert F.inv(F.zeta) == F.pow(F.zeta, 6)
 
 
 def test_two_inverse_in_f5():
-    assert coeff.GF(5).inv(2) == 3
+    assert coeff.FiniteField(5).inv(2) == 3
 
 
 _SAMPLE_RINGS = [
-    coeff.Zmod(9),
-    coeff.Zmod(15),
-    coeff.GF(5),
-    coeff.GF(3, 2),
-    coeff.rationals(),
-    coeff.Qzeta(5),
+    coeff.ModRing(9),
+    coeff.ModRing(15),
+    coeff.FiniteField(5),
+    coeff.FiniteField(3, 2),
+    coeff.RationalField(),
+    coeff.CyclotomicField(5),
 ]
 
 
@@ -158,6 +169,50 @@ def test_two_times_half_is_one(ring):
     assert ring.mul(ring.from_int(2), ring.half) == ring.one
 
 
+# ---------------------------------------------------------------- coefficient strings
+
+@pytest.mark.parametrize(
+    "spec", ["Z/9", "Z/15", "F7", "F3^2", "F3^3", "F7^2", "Q", "Q(zeta3)", "Q(zeta12)"]
+)
+def test_parse_inverts_fmt(spec):
+    R = coeff.make_ring(spec)
+    if R.order is not None:
+        draws = [R.decode(c) for c in range(R.order)]
+    else:
+        rng = np.random.default_rng(17)
+
+        def coordinate():
+            kind = int(rng.integers(0, 4))  # zero, +-1, or a signed fraction
+            if kind == 0:
+                return Fraction(0)
+            if kind == 1:
+                return Fraction(int(rng.choice([-1, 1])))
+            return Fraction(int(rng.integers(-40, 41)), int(rng.integers(1, 13)))
+
+        dim = getattr(R, "degree", None)
+        draws = [
+            coordinate() if dim is None else tuple(coordinate() for _ in range(dim))
+            for _ in range(300)
+        ]
+        assert any(R.fmt(a).startswith("-") for a in draws)
+        assert any("/" in R.fmt(a) for a in draws)
+    for a in draws:
+        assert R.parse(R.fmt(a)) == a, R.fmt(a)
+
+
+@pytest.mark.parametrize(
+    "spec, text",
+    [
+        ("Z/9", "-1"), ("F3", "w"), ("F3^2", "2w"), ("F3^2", "1/2*w"), ("F3^2", "w^2"),
+        ("F3^2", ""), ("Q", "1/0"), ("Q", "z"), ("Q(zeta3)", "w"), ("Q(zeta3)", "z^2"),
+        ("Q(zeta3)", "z+"), ("Q(zeta12)", "1--z"),
+    ],
+)
+def test_parse_rejects_malformed(spec, text):
+    with pytest.raises(ParseError):
+        coeff.make_ring(spec).parse(text)
+
+
 # ---------------------------------------------------------------- three squares
 
 def test_three_squares_f3_exact_triple(f3):
@@ -171,7 +226,7 @@ def test_three_squares_rationals_has_none(qq):
 
 
 def test_three_squares_gaussian_field():
-    F = coeff.Qzeta(4)
+    F = coeff.CyclotomicField(4)
     sol = coeff.solve_three_squares(F)
     assert sol.verify()
     assert sol.x == F.zeta and sol.y == F.zero and sol.z == F.zero
@@ -179,8 +234,8 @@ def test_three_squares_gaussian_field():
 
 @pytest.mark.parametrize(
     "ring",
-    [coeff.GF(3), coeff.GF(5), coeff.GF(7), coeff.GF(3, 2), coeff.Zmod(9),
-     coeff.Zmod(15), coeff.Zmod(25), coeff.Zmod(27), coeff.Zmod(81)],
+    [coeff.FiniteField(3), coeff.FiniteField(5), coeff.FiniteField(7), coeff.FiniteField(3, 2), coeff.ModRing(9),
+     coeff.ModRing(15), coeff.ModRing(25), coeff.ModRing(27), coeff.ModRing(81)],
     ids=lambda r: r.spec_string(),
 )
 def test_three_squares_agrees_with_naive_loop(ring):
@@ -212,10 +267,10 @@ def test_hensel_consistency_prime_powers():
     for p in [3, 5, 7]:
         q = p
         while q <= 343:
-            sol = coeff.solve_three_squares(coeff.Zmod(q))
+            sol = coeff.solve_three_squares(coeff.ModRing(q))
             assert isinstance(sol, coeff.ThreeSquaresSolution) and sol.verify(), q
             q *= p
-    sol = coeff.solve_three_squares(coeff.Zmod(343))
+    sol = coeff.solve_three_squares(coeff.ModRing(343))
     assert sol.verify()
 
 
@@ -239,7 +294,7 @@ def test_level_rejects_two():
 
 
 def test_two_squares_search_gaussian():
-    F = coeff.Qzeta(4)
+    F = coeff.CyclotomicField(4)
     x, y = coeff.two_squares_search(F, 1)
     assert F.add(F.mul(x, x), F.mul(y, y)) == F.neg(F.one)
 
@@ -248,7 +303,7 @@ def test_two_squares_search_gaussian():
 def test_two_squares_search_succeeds_for_level_two_primes(p):
     # the level classification promises a hit for p = 3, 5 within height 8
     assert coeff.level_classify_prime(p) is coeff.Level.TWO
-    F = coeff.Qzeta(p)
+    F = coeff.CyclotomicField(p)
     pair = coeff.two_squares_search(F, 8)
     assert pair is not None
     x, y = pair
@@ -256,29 +311,29 @@ def test_two_squares_search_succeeds_for_level_two_primes(p):
 
 
 def test_two_squares_search_finds_nothing_for_level_four():
-    assert coeff.two_squares_search(coeff.Qzeta(7), 1) is None
+    assert coeff.two_squares_search(coeff.CyclotomicField(7), 1) is None
 
 
 def test_cyclotomic_solution_for_even_order_prime():
     # 17 divides 2^4 + 1, so Q(zeta17) has an explicit two-squares witness
-    sol = coeff.solve_three_squares(coeff.Qzeta(17))
+    sol = coeff.solve_three_squares(coeff.CyclotomicField(17))
     assert isinstance(sol, coeff.ThreeSquaresSolution) and sol.verify()
 
 
 def test_cyclotomic_level_four_prime_has_no_solution():
-    assert coeff.solve_three_squares(coeff.Qzeta(7)) is coeff.NO_SOLUTION
+    assert coeff.solve_three_squares(coeff.CyclotomicField(7)) is coeff.NO_SOLUTION
 
 
 def test_cyclotomic_local_degree_case_has_no_solution():
     # ord_73(2) = 9 is odd and 73 = 1 mod 8: the paper's level table says "2 or
     # 4", the local degree 9 at 2 says no solution
-    F = coeff.Qzeta(73)
+    F = coeff.CyclotomicField(73)
     assert coeff.solve_three_squares(F) is coeff.NO_SOLUTION
     assert coeff.local_degree_beyond_paper(F) == {"d": 73, "d_odd": 73, "ord_2": 9}
 
 
 def test_composite_d_inherits_solution_from_prime_divisor():
-    sol = coeff.solve_three_squares(coeff.Qzeta(21))  # 3 | 21 gives level 2
+    sol = coeff.solve_three_squares(coeff.CyclotomicField(21))  # 3 | 21 gives level 2
     assert isinstance(sol, coeff.ThreeSquaresSolution) and sol.verify()
 
 
@@ -296,7 +351,7 @@ def test_cyclotomic_closed_form_matches_local_degree(d):
     sympy = pytest.importorskip("sympy")
     d_odd = _odd_part(d)
     even = d_odd > 1 and sympy.n_order(2, d_odd) % 2 == 0
-    F = coeff.Qzeta(d)
+    F = coeff.CyclotomicField(d)
     out = coeff.solve_three_squares(F)
     if d % 4 == 0 or even:
         assert isinstance(out, coeff.ThreeSquaresSolution) and out.verify()
@@ -337,6 +392,6 @@ def test_two_squares_search_finds_nothing_where_closed_form_says_unsolvable(d):
     # the bounded search is independent of the local-degree rule: at height <= 1
     # it finds no x^2 + y^2 = -1 where the closed form says none exists (d = 7:
     # test_two_squares_search_finds_nothing_for_level_four)
-    F = coeff.Qzeta(d)
+    F = coeff.CyclotomicField(d)
     assert coeff.solve_three_squares(F) is coeff.NO_SOLUTION
     assert coeff.two_squares_search(F, height_bound=1, candidate_budget=3000) is None

@@ -5,6 +5,7 @@ from starclean import cli, coeff, decide, groups, groupring as gr
 from starclean.decide import Budget, Status
 from starclean.errors import CharDividesError, PreconditionError
 from starclean.groups import Presentation as P
+from conftest import theorem_b_decide
 
 
 # ---------------------------------------------------------------- number theory
@@ -81,7 +82,7 @@ def test_perlis_walker_f3_c8(f3):
 
 
 def test_perlis_walker_trivial(qq):
-    assert decide.perlis_walker(qq, groups.trivial_group()).components == ((1, 1, 1),)
+    assert decide.perlis_walker(qq, groups.build_abelian([])).components == ((1, 1, 1),)
 
 
 def test_perlis_walker_char_divides(f3):
@@ -116,7 +117,7 @@ def test_theorem_c_rational_c3_not(qq):
 
 
 def test_theorem_c_finite_field_trivial_a(f3):
-    v = decide.theorem_c_decide([f3], groups.trivial_group())
+    v = decide.theorem_c_decide([f3], groups.build_abelian([]))
     assert v.status is Status.NOT_STAR_CLEAN
     assert v.certificates and v.certificates[0]["kind"] == "three-squares"
 
@@ -127,18 +128,32 @@ def test_theorem_c_char_divides(f3):
 
 
 def test_theorem_b_examples(f3, qq):
-    assert decide.theorem_b_decide(f3, 1, True).status is Status.NOT_STAR_CLEAN
-    assert decide.theorem_b_decide(qq, 3, True).status is Status.STAR_CLEAN
-    assert decide.theorem_b_decide(qq, 1, False).status is Status.NOT_STAR_CLEAN
-    assert decide.theorem_b_decide(qq, 1, None).status is Status.UNKNOWN
+    assert theorem_b_decide(f3, 1, True).status is Status.NOT_STAR_CLEAN
+    assert theorem_b_decide(qq, 3, True).status is Status.STAR_CLEAN
+    assert theorem_b_decide(qq, 1, False).status is Status.NOT_STAR_CLEAN
+    assert theorem_b_decide(qq, 1, None).status is Status.UNKNOWN
 
 
 def test_theorem_b_agrees_with_theorem_c_where_both_apply(qq, f3):
     # rank-0 over a field is the trivial-A case of the semisimple criterion
-    for F in (qq, coeff.Qzeta(7), f3):
-        b = decide.theorem_b_decide(F, 0, True)
-        c = decide.theorem_c_decide([F], groups.trivial_group())
+    for F in (qq, coeff.CyclotomicField(7), f3):
+        b = theorem_b_decide(F, 0, True)
+        c = decide.theorem_c_decide([F], groups.build_abelian([]))
         assert b.status == c.status
+
+
+@pytest.mark.parametrize("spec", ["F3", "F5", "Z/9", "Q", "Q(zeta3)", "Q(zeta7)"])
+@pytest.mark.parametrize("rank", [0, 1, 2])
+def test_decide_agrees_with_theorem_b(spec, rank):
+    # RG is clean for each of these rings: finite rings are clean, and over a
+    # field of characteristic 0 the group algebra is semisimple
+    R = coeff.make_ring(spec)
+    S = groups.build_slc(P.D2, 1, abelian=(2,) * rank)
+    b = theorem_b_decide(R, rank, True)
+    v = decide.decide_star_clean(S, R)
+    assert v.status is b.status
+    for cert in b.certificates:
+        assert cert in v.certificates
 
 
 def test_direct_sum_reduce(qq):
@@ -294,7 +309,7 @@ def test_element_star_clean_central_idempotent(q8, f3):
 
 def test_element_star_clean_above_table_cap():
     # GF(3^7) has 2187 elements, too many for dense tables
-    R = coeff.GF(3, 7)
+    R = coeff.FiniteField(3, 7)
     c2 = groups.cyclic_group(2)
     sigma = groups.classical_involution(c2)
     alpha = gr.GroupRing(c2, R).random_element(np.random.default_rng(0))
@@ -319,7 +334,7 @@ def test_projection_set_exhaustive_flag(q8, f3):
 
 @pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2)])
 def test_q8_never_star_clean_over_small_odd_fields(q8, p, k):
-    R = coeff.GF(p, k)
+    R = coeff.FiniteField(p, k)
     sigma = groups.canonical_involution(q8)
     rep = decide.brute_star_clean(q8.group, sigma, R, Budget(sample_count=3000))
     assert rep.result is False and rep.structure_full
@@ -329,7 +344,7 @@ def test_q8_never_star_clean_over_small_odd_fields(q8, p, k):
 @pytest.mark.parametrize("p,k", [(5, 2), (3, 3)])
 def test_q8_never_star_clean_over_larger_prime_powers(q8, p, k):
     # the projection candidate space needs a raised structure budget here
-    R = coeff.GF(p, k)
+    R = coeff.FiniteField(p, k)
     sigma = groups.canonical_involution(q8)
     budget = Budget(structure_limit=20_000_000, sample_count=3000)
     rep = decide.brute_star_clean(q8.group, sigma, R, budget)
@@ -377,10 +392,10 @@ def test_decide_star_clean_plain_group_is_out_of_scope(f3):
 
 
 def test_decide_star_clean_q8_over_gaussian_field(q8):
-    v = decide.decide_star_clean(q8, coeff.Qzeta(4))
+    v = decide.decide_star_clean(q8, coeff.CyclotomicField(4))
     assert v.status is Status.NOT_STAR_CLEAN  # i solves the equation
 
 
 def test_decide_star_clean_q8_over_qzeta7(q8):
-    v = decide.decide_star_clean(q8, coeff.Qzeta(7))
+    v = decide.decide_star_clean(q8, coeff.CyclotomicField(7))
     assert v.status is Status.STAR_CLEAN

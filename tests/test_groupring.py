@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from starclean import _linalg, cli, coeff, groups, groupring as gr
+from starclean import _linalg, cli, coeff, decide, groups, groupring as gr
+from starclean.decide import Budget
 from starclean.errors import BudgetError, CarrierMismatchError
+from conftest import enumerate_elements, from_ints
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +76,7 @@ def test_is_central_matches_all_h_definition(presentation, k, k2, abelian, f3, q
         # class sums are central; adding a non-central basis element breaks it
         for g in range(G.order):
             cls = {G.conjugate(g, h) for h in range(G.order)}
-            class_sum = RG.from_int_coeffs([1 if x in cls else 0 for x in range(G.order)])
+            class_sum = from_ints(RG, [1 if x in cls else 0 for x in range(G.order)])
             assert class_sum.is_central() and _central_by_all_h(class_sum)
             for alpha in (RG.basis(g), class_sum + RG.basis(g), class_sum.scale(R.from_int(2))):
                 assert alpha.is_central() == _central_by_all_h(alpha)
@@ -94,7 +96,7 @@ def test_involution_on_x_plus_y(rq8_f3, q8, sigma_q8):
 
 
 def test_involution_fixes_central_support(rq8_f3, q8, sigma_q8, f3):
-    alpha = rq8_f3.from_int_coeffs([2, 1, 0, 0, 0, 0, 0, 0])  # supported on {1, s}
+    alpha = from_ints(rq8_f3, [2, 1, 0, 0, 0, 0, 0, 0])  # supported on {1, s}
     assert gr.apply_involution(sigma_q8, alpha) == alpha
 
 
@@ -103,8 +105,8 @@ def test_involution_antimultiplicative(q8, f3, a_code, b_code):
     RG = gr.GroupRing(q8.group, f3)
     sigma = groups.canonical_involution(q8)
     digits = lambda c: [(c // 3**i) % 3 for i in range(8)]
-    a = RG.from_int_coeffs(digits(a_code))
-    b = RG.from_int_coeffs(digits(b_code))
+    a = from_ints(RG, digits(a_code))
+    b = from_ints(RG, digits(b_code))
     assert gr.apply_involution(sigma, a * b) == gr.apply_involution(
         sigma, b
     ) * gr.apply_involution(sigma, a)
@@ -176,7 +178,7 @@ def test_proper_idempotent_not_unit(q8, f3):
 def test_unit_predicate_matches_exhaustive_inverse_search(factors, ring):
     G = groups.build_abelian(factors)
     RG = gr.GroupRing(G, coeff.make_ring(ring))
-    els = list(gr.enumerate_elements(RG))
+    els = list(enumerate_elements(RG))
     one = RG.one()
     for a in els:
         inverse = next((b for b in els if a * b == one), None)
@@ -272,7 +274,7 @@ def test_f_annihilates_e_side(q8, f5):
 def test_f3_c2_enumeration_counts(f3):
     c2 = groups.cyclic_group(2)
     RG = gr.GroupRing(c2, f3)
-    els = list(gr.enumerate_elements(RG))
+    els = list(enumerate_elements(RG))
     assert len(els) == 9
     assert sum(1 for a in els if gr.is_unit(a)) == 4
     idems = [a for a in els if gr.is_idempotent(a)]
@@ -284,7 +286,10 @@ def test_f3_c2_enumeration_counts(f3):
 
 def test_projection_enumeration_symmetric_subspace(q8, f3, sigma_q8):
     RG = gr.GroupRing(q8.group, f3)
-    projs = list(gr.enumerate_projections(RG, sigma_q8))
+    rows, full = decide.projection_set(RG, sigma_q8, Budget())
+    assert full
+    projs = [RG.from_coeffs(f3.decode(int(c)) for c in row) for row in rows]
+    assert len(set(projs)) == len(projs)
     pair = gr.central_idempotents(q8, f3)
     pset = set(projs)
     assert {RG.zero(), RG.one(), pair.e, pair.f} <= pset
@@ -296,12 +301,13 @@ def test_enumeration_budget_error(f3):
     s = groups.build_slc(groups.Presentation.D2, 1, abelian=[2, 2])
     RG = gr.GroupRing(s.group, f3)
     with pytest.raises(BudgetError) as err:
-        list(gr.enumerate_elements(RG))
+        list(enumerate_elements(RG))
     assert err.value.cardinality == 3**32
 
 
-def test_enumerate_units_small(f3):
+def test_enumerate_units_small(f3, f5):
+    # R[C2] = R x R by a -> +-1, so it has (|R| - 1)^2 units
     c2 = groups.cyclic_group(2)
-    RG = gr.GroupRing(c2, f3)
-    units = list(gr.enumerate_units(RG))
-    assert len(units) == 4
+    for R, count in ((f3, 4), (f5, 16)):
+        RG = gr.GroupRing(c2, R)
+        assert sum(1 for a in enumerate_elements(RG) if gr.is_unit(a)) == count

@@ -147,7 +147,7 @@ def test_direct_product_q8_c3_center(q8):
 
 
 def test_direct_product_with_trivial_is_same_table(q8):
-    g = groups.direct_product(q8.group, groups.trivial_group())
+    g = groups.direct_product(q8.group, groups.build_abelian([]))
     assert np.array_equal(g.mul, q8.group.mul)
     assert g.names == q8.group.names
 

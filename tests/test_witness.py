@@ -1,10 +1,12 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from starclean import coeff, decide, groups, groupring as gr, witness as wt
 from starclean.errors import BudgetError, PreconditionError
 from starclean.groups import Presentation as P
+from conftest import enumerate_elements, problem_element
 
 
 # ---------------------------------------------------------------- two squares
@@ -31,7 +33,7 @@ def test_two_squares_one_step(z9):
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
 @pytest.mark.parametrize("modulus", [9, 25, 49])
 def test_two_squares_certificates_sweep(p, modulus):
-    ring = coeff.Zmod(modulus)
+    ring = coeff.ModRing(modulus)
     RG = gr.GroupRing(groups.cyclic_group(p), ring)
     g = RG.basis(1)
     for t in range(0, 7):
@@ -55,19 +57,19 @@ def test_two_squares_rejects_noncentral(s3, f3):
 # ---------------------------------------------------------------- annihilators
 
 def test_annihilator_pair_f7_c3():
-    RG = gr.GroupRing(groups.cyclic_group(3), coeff.GF(7))
+    RG = gr.GroupRing(groups.cyclic_group(3), coeff.FiniteField(7))
     a, b = wt.annihilator_pair(RG.basis(1), 3, 1)
     g = RG.basis(1)
     assert ((a * a + b * b + g.pow_int(2)) * (g - RG.one())).is_zero()
 
 
 def test_annihilator_pair_z11_c5():
-    RG = gr.GroupRing(groups.cyclic_group(5), coeff.Zmod(11))
+    RG = gr.GroupRing(groups.cyclic_group(5), coeff.ModRing(11))
     wt.annihilator_pair(RG.basis(1), 5, 2)
 
 
 def test_annihilator_rejects_bad_divisibility():
-    RG = gr.GroupRing(groups.cyclic_group(7), coeff.GF(5))
+    RG = gr.GroupRing(groups.cyclic_group(7), coeff.FiniteField(5))
     with pytest.raises(PreconditionError):
         wt.annihilator_pair(RG.basis(1), 7, 1)  # 7 does not divide 3
 
@@ -77,7 +79,7 @@ def test_annihilator_rejects_bad_divisibility():
 )
 def test_annihilator_identity_sweep(p, n):
     assert (2**n + 1) % p == 0
-    RG = gr.GroupRing(groups.cyclic_group(p), coeff.Zmod(9))
+    RG = gr.GroupRing(groups.cyclic_group(p), coeff.ModRing(9))
     wt.annihilator_pair(RG.basis(1), p, n)
 
 
@@ -150,13 +152,13 @@ def _batched_matches_scalar(S, R, w):
 @pytest.mark.parametrize(
     "presentation,k,k2,abelian,ring,case",
     [
-        (P.D1, 1, None, (), coeff.GF(3), "presentation-type-1"),
-        (P.D3, 1, 1, (), coeff.GF(3), "presentation-type-3-5"),
-        (P.D2, 2, None, (), coeff.GF(3), "presentation-type-2-large-m"),
-        (P.D2, 1, None, (4,), coeff.GF(3), "order-4-element"),
-        (P.D2, 1, None, (3,), coeff.GF(5), "excluded-prime"),
-        (P.D2, 1, None, (), coeff.GF(3), "three-squares"),
-        (P.D2, 1, None, (), coeff.Zmod(9), "three-squares"),
+        (P.D1, 1, None, (), coeff.FiniteField(3), "presentation-type-1"),
+        (P.D3, 1, 1, (), coeff.FiniteField(3), "presentation-type-3-5"),
+        (P.D2, 2, None, (), coeff.FiniteField(3), "presentation-type-2-large-m"),
+        (P.D2, 1, None, (4,), coeff.FiniteField(3), "order-4-element"),
+        (P.D2, 1, None, (3,), coeff.FiniteField(5), "excluded-prime"),
+        (P.D2, 1, None, (), coeff.FiniteField(3), "three-squares"),
+        (P.D2, 1, None, (), coeff.ModRing(9), "three-squares"),
     ],
 )
 def test_batched_condition2_matches_scalar_on_generated_witnesses(
@@ -275,7 +277,7 @@ def test_generated_witnesses_pass_exhaustive_check(q8, d4, f3, f5):
 
 def test_problem_element_has_no_decomposition(q8, f3):
     w = wt.generate_witness(q8, f3)
-    h = wt.problem_element(q8, f3, w)
+    h = problem_element(q8, f3, w)
     sigma = groups.canonical_involution(q8)
     assert decide.element_star_clean(h, sigma) is None
 
@@ -283,9 +285,9 @@ def test_problem_element_has_no_decomposition(q8, f3):
 # ---------------------------------------------------------------- lifting
 
 def test_lift_from_trivial_group(f3):
-    RT = gr.GroupRing(groups.trivial_group(), f3)
+    RT = gr.GroupRing(groups.build_abelian([]), f3)
     sigma = groups.classical_involution(RT.group)
-    dec = wt.StarCleanDecomposition(RT.from_int_coeffs([2]), RT.zero())
+    dec = wt.StarCleanDecomposition(RT.from_coeffs([f3.from_int(2)]), RT.zero())
     res = wt.lift_c2(dec, RT, sigma)
     assert res.group.order == 2
     res.decomposition.validate(res.sigma)
@@ -293,7 +295,7 @@ def test_lift_from_trivial_group(f3):
 
 
 def test_lift_pure_unit_stays_pure_unit(f3):
-    RT = gr.GroupRing(groups.trivial_group(), f3)
+    RT = gr.GroupRing(groups.build_abelian([]), f3)
     sigma = groups.classical_involution(RT.group)
     dec = wt.StarCleanDecomposition(RT.one(), RT.zero())
     res = wt.lift_c2(dec, RT, sigma)
@@ -306,7 +308,7 @@ def test_lift_c2_to_klein_random(f3):
     sigma = groups.classical_involution(c2)  # identity involution
     assert all(int(sigma.image[g]) == g for g in c2.elements())
     count = 0
-    for alpha in gr.enumerate_elements(RC2):
+    for alpha in enumerate_elements(RC2):
         dec = decide.element_star_clean(alpha, sigma)
         if dec is None:
             continue
@@ -315,6 +317,43 @@ def test_lift_c2_to_klein_random(f3):
         res.decomposition.validate(res.sigma)
         count += 1
     assert count == 9  # every element of F3[C2] is *-clean
+
+
+def _embedded(el, G):
+    """el in RH as an element of R[H x C2], on the pairs named (h,1)."""
+    H = el.group
+    return gr.GroupRing(G, el.ring).from_dict(
+        {f"({H.names[h]},1)": c for h, c in enumerate(el.coeffs)}
+    )
+
+
+def test_lift_is_the_embedding(f3):
+    # every decomposition of F3[C2], under its identity involution
+    c2 = groups.cyclic_group(2)
+    RC2 = gr.GroupRing(c2, f3)
+    sigma_c2 = groups.classical_involution(c2)
+    projs = [p for p in enumerate_elements(RC2) if gr.is_projection(p, sigma_c2)]
+    cases = [
+        (wt.StarCleanDecomposition(alpha - p, p), RC2, sigma_c2)
+        for alpha in enumerate_elements(RC2)
+        for p in projs
+        if gr.is_unit(alpha - p)
+    ]
+    assert len(cases) == 16  # F3[C2] = F3 x F3, and F3 has 4 decompositions
+    # seeded draws over Q8/F5^2 under both involutions
+    q8 = groups.build_slc(P.D2, 1)
+    RQ = gr.GroupRing(q8.group, coeff.FiniteField(5, 2))
+    rng = np.random.default_rng(21)
+    for sigma in (groups.classical_involution(q8.group), groups.canonical_involution(q8)):
+        for _ in range(4):
+            dec = decide.element_star_clean(RQ.random_element(rng), sigma)
+            assert dec is not None
+            cases.append((dec, RQ, sigma))
+    for dec, RH, sigma in cases:
+        res = wt.lift_c2(dec, RH, sigma)
+        assert res.decomposition.unit == _embedded(dec.unit, res.group)
+        assert res.decomposition.projection == _embedded(dec.projection, res.group)
+        assert res.target == _embedded(dec.target(), res.group)
 
 
 def test_lift_rejects_invalid_decomposition(q8, f3):
