@@ -59,10 +59,8 @@ from .groups import (
     canonical_involution,
     center,
     classical_involution,
-    commutator_subgroup,
     cyclic_group,
     direct_product,
-    is_slc,
 )
 from .witness import (
     NonCleanWitness,

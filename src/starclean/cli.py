@@ -9,7 +9,9 @@ verdict: 0 star-clean/true, 1 not-star-clean/false, 2 unknown, >2 errors.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import functools
 import json
 import re
 import sys
@@ -35,6 +37,10 @@ from .errors import (
     PreconditionError,
     RingSpecError,
 )
+
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
 
 _ATOM_RE = re.compile(r"^(Q8|C(?P<cn>\d+)|D(?P<dt>[1-5])\[(?P<params>[^\]]*)\])$")
 
@@ -350,7 +356,28 @@ def _build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Let glibc's malloc keep freed memory for reuse.
+
+    The scans build and drop numpy blocks of a few MB each; by default
+    glibc returns such blocks to the kernel as they are freed (munmap, or
+    trimming the heap top), and each next block faults its pages in again:
+    thousands of page faults per job, whose cost swings with the host's
+    memory load.  A fixed mmap threshold and no trimming keep those pages
+    in the heap.  Where the C library has no mallopt, malloc keeps its
+    defaults.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)  # glibc's largest fixed threshold
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
 def main(argv=None) -> int:
+    _keep_freed_memory()
     parser = _build_parser()
     args = parser.parse_args(argv)
     job = JobSpec(

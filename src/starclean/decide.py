@@ -4,7 +4,10 @@ The theory side turns the necessary conditions (structure, order-4 and
 excluded-prime elements in the abelian factor, solvability of
 X^2+Y^2+Z^2+1 = 0) plus the field-coefficient biconditional into Verdicts
 with citation-tagged reasons and machine-checked certificates.  The brute
-side enumerates or samples RG directly; cross-validation compares and
+side enumerates or samples RG directly, in blocks of elements: each block
+meets the structure rows slice by slice, and the unit tests go through a
+per-scan cache exact on code rows, whose misses take one batched
+elimination (`_linalg`).  Cross-validation compares the two sides and
 raises on any disagreement.
 """
 
@@ -13,7 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field as dc_field
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -139,15 +142,61 @@ class BruteReport:
         return out
 
 
-def _is_unit_codes(RG: GroupRing, codes: np.ndarray, T: np.ndarray, memo: dict) -> bool:
-    key = codes.tobytes()
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    out = _linalg.is_invertible_codes(RG.ring, codes[T])
-    if len(memo) < (1 << 21):
-        memo[key] = out
-    return out
+# entries of the per-scan unit cache: bounded memory
+_CACHE_CAP = 1 << 21
+# element blocks of a scan grow from _FIRST_BLOCK rows by 4x up to _MAX_BLOCK
+_FIRST_BLOCK = 4
+_MAX_BLOCK = 8192
+# candidates per batched unit test once few elements of a block are undecided
+_SLICE_CANDIDATES = 256
+# int64 cells of the stacked GF(p)-matrices per kernel call: bounded memory
+_KERNEL_CELLS = 1 << 16
+
+
+def _units(RG: GroupRing, rows: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Unit mask of code rows by batched elimination on their regular
+    representations rows[:, T], in stacks of at most _KERNEL_CELLS cells
+    (after the GF(p^k) expansion over GF(p))."""
+    step = max(1, _KERNEL_CELLS // (T.size * getattr(RG.ring, "k", 1) ** 2))
+    return np.concatenate([
+        _linalg.is_invertible_codes(RG.ring, rows[i : i + step][:, T])
+        for i in range(0, rows.shape[0], step)
+    ])
+
+
+def _row_keys(codes: np.ndarray, q: int) -> list:
+    """Exact cache keys of code rows over a ring of order q: their raw bytes
+    in the smallest unsigned dtype that holds a code."""
+    codes = codes.astype(np.min_scalar_type(q - 1))
+    return codes.view(np.dtype((np.void, codes.itemsize * codes.shape[1]))).ravel().tolist()
+
+
+def _is_unit_codes(RG: GroupRing, codes: np.ndarray, T: np.ndarray, cache: dict) -> np.ndarray:
+    """Unit mask of the code rows: hits from the scan's cache, a dict from
+    row keys (see `_row_keys`) to unit status; misses deduplicated and
+    decided by one batched elimination."""
+    keys = _row_keys(codes, RG.ring.order)
+    get = cache.get
+    status = np.fromiter((get(k, 2) for k in keys), dtype=np.int8, count=len(keys))
+    miss = np.flatnonzero(status == 2).tolist()
+    if miss:
+        first: dict = {}
+        for i in miss:
+            first.setdefault(keys[i], i)
+        fresh = dict(zip(first, _units(RG, codes[list(first.values())], T).tolist()))
+        status[miss] = [fresh[keys[i]] for i in miss]
+        if len(cache) < _CACHE_CAP:
+            cache.update(fresh)
+    return status == 1
+
+
+def _block_sizes() -> Iterator[int]:
+    """Block lengths of a scan: small first, so that a scan stopping at its
+    first elements stays cheap, then 4x larger up to _MAX_BLOCK."""
+    size = _FIRST_BLOCK
+    while True:
+        yield size
+        size = min(4 * size, _MAX_BLOCK)
 
 
 def _structure_rows(RG: GroupRing, scatter, dims: int, budget: Budget):
@@ -202,36 +251,28 @@ def idempotent_set(
     return _sorted_rows(chunks), full
 
 
-def _first_decomposition(
-    RG: GroupRing,
-    codes: np.ndarray,
-    neg_rows: np.ndarray,
-    T: np.ndarray,
-    memo: dict,
-) -> Optional[int]:
-    """Index of the first structure row p (given negated) with codes - p a unit."""
-    add = RG.ring.vec.add
-    for i in range(neg_rows.shape[0]):
-        if _is_unit_codes(RG, add(codes, neg_rows[i]), T, memo):
-            return i
-    return None
+def _block_bounds(total: int) -> Iterator[tuple[int, int]]:
+    """(start, stop) of each block of a stream of `total` elements."""
+    start = 0
+    for size in _block_sizes():
+        if start >= total:
+            return
+        yield start, min(total, start + size)
+        start += size
 
 
 def _element_stream(RG: GroupRing, budget: Budget):
-    """(codes, mode): full counter order within budget, else stratified samples."""
+    """(blocks, mode): code-row blocks of the full counter order within
+    budget, else of stratified samples drawn row by row; see `_block_sizes`."""
     card = RG.element_count()
     n = RG.group.order
     q = RG.ring.order
     if card <= budget.full_scan_limit:
-        def gen_full():
-            chunk = 8192
-            for start in range(0, card, chunk):
-                counters = np.arange(start, min(card, start + chunk), dtype=np.int64)
-                yield from counter_digits(counters, q, n)
-        return gen_full(), "full"
+        bounds = _block_bounds(card)
+        return (counter_digits(np.arange(a, b, dtype=np.int64), q, n) for a, b in bounds), "full"
     rng = np.random.default_rng(budget.seed)
 
-    def gen_sampled():
+    def gen_rows():
         count = budget.sample_count
         sparse = count // 5  # stratum: small-support elements
         for _ in range(sparse):
@@ -243,7 +284,15 @@ def _element_stream(RG: GroupRing, budget: Budget):
         for _ in range(count - sparse):
             yield rng.integers(0, q, size=n).astype(np.int64)
 
-    return gen_sampled(), "sampled"
+    rows = gen_rows()
+
+    def block(size: int) -> np.ndarray:
+        out = np.empty((size, n), dtype=np.int64)
+        for i, row in zip(range(size), rows):
+            out[i] = row
+        return out
+
+    return (block(b - a) for a, b in _block_bounds(budget.sample_count)), "sampled"
 
 
 def _scan(
@@ -255,32 +304,54 @@ def _scan(
 ) -> BruteReport:
     """Scan RG for an element with no unit + structure-row decomposition.
 
+    The element stream is decided one block at a time (see `_block_sizes`):
+    for each slice of structure rows in order, the block's still undecided
+    elements minus those rows go through the cached batched unit test, and
+    the elements with a unit among them leave.  A slice is one row while
+    many elements are undecided and widens to about _SLICE_CANDIDATES
+    candidates as they leave.  An element left undecided after the last row
+    has no decomposition; the first such element in stream order is the
+    counterexample, and `tested` counts the stream up to it, as an
+    element-by-element scan would.
+
     The result is certified whenever it is not None: False needs a complete
     structure set behind the counterexample, True an exhaustive scan.
     """
     kind = "projection" if property == "star-clean" else "idempotent"
     size = structure_rows.shape[0]
     neg_rows = RG.ring.vec.neg(structure_rows)
+    add = RG.ring.vec.add
+    n = RG.group.order
     T = _regrep_index(RG.group)
-    memo: dict = {}
-    stream, mode = _element_stream(RG, budget)
+    cache: dict = {}
+    blocks, mode = _element_stream(RG, budget)
     tested = 0
-    for codes in stream:
-        tested += 1
-        if _first_decomposition(RG, codes, neg_rows, T, memo) is None:
-            alpha = RG.from_coeffs(RG.ring.decode(int(c)) for c in codes)
-            if structure_full:
-                return BruteReport(property, False, alpha, mode, tested, size, True)
-            return BruteReport(
-                property,
-                None,
-                alpha,
-                mode,
-                tested,
-                size,
-                False,
-                notes=[f"undecomposed element found, but {kind} set is sampled"],
-            )
+    for block in blocks:
+        undecided = np.arange(block.shape[0])
+        start = 0
+        while undecided.size and start < size:
+            rows = neg_rows[start : start + max(1, _SLICE_CANDIDATES // undecided.size)]
+            start += rows.shape[0]
+            cands = add(block[undecided][:, None], rows[None]).reshape(-1, n)
+            units = _is_unit_codes(RG, cands, T, cache).reshape(undecided.size, -1)
+            undecided = undecided[~units.any(axis=1)]
+        if not undecided.size:
+            tested += block.shape[0]
+            continue
+        tested += int(undecided[0]) + 1
+        alpha = RG.from_coeffs(RG.ring.decode(int(c)) for c in block[undecided[0]])
+        if structure_full:
+            return BruteReport(property, False, alpha, mode, tested, size, True)
+        return BruteReport(
+            property,
+            None,
+            alpha,
+            mode,
+            tested,
+            size,
+            False,
+            notes=[f"undecomposed element found, but {kind} set is sampled"],
+        )
     if mode == "full":
         return BruteReport(property, True, None, mode, tested, size, structure_full)
     return BruteReport(
@@ -324,9 +395,11 @@ def element_star_clean(
     """First decomposition of alpha in sorted projection order, or None.
 
     Projections are computed chunk by chunk in the order of
-    :func:`projection_set` and the search stops at the first p with
-    alpha - p a unit, so the rest of the set is never built.  A sampled
-    projection set is built whole and sorted first.  A None is conclusive
+    :func:`projection_set`, and alpha minus each slice of them (growing as
+    the blocks of a scan do, see `_block_sizes`) takes one batched unit
+    test; the search stops at the first slice with a unit, so the rest of
+    the set is never built.  A sampled projection set is built whole and
+    sorted first.  A None is conclusive
     only when the projection set was exhaustive; use :func:`projection_set`
     directly to check the flag.
     """
@@ -337,14 +410,19 @@ def element_star_clean(
     R = alpha.ring
     codes = np.array([R.encode(c) for c in alpha.coeffs], dtype=np.int64)
     T = _regrep_index(alpha.group)
-    memo: dict = {}
+    sizes = _block_sizes()
     for projs in chunks:
-        neg_rows = R.vec.neg(projs)
-        i = _first_decomposition(RG, codes, neg_rows, T, memo)
-        if i is not None:
-            q_el = RG.from_coeffs(R.decode(int(c)) for c in projs[i])
-            u_el = RG.from_coeffs(R.decode(int(c)) for c in R.vec.add(codes, neg_rows[i]))
-            return witness_mod.StarCleanDecomposition(u_el, q_el)
+        start = 0
+        while start < projs.shape[0]:
+            rows = projs[start : start + next(sizes)]
+            start += rows.shape[0]
+            cands = R.vec.add(codes, R.vec.neg(rows))
+            units = np.flatnonzero(_units(RG, cands, T))
+            if units.size:
+                i = int(units[0])
+                q_el = RG.from_coeffs(R.decode(int(c)) for c in rows[i])
+                u_el = RG.from_coeffs(R.decode(int(c)) for c in cands[i])
+                return witness_mod.StarCleanDecomposition(u_el, q_el)
     return None
 
 
@@ -409,9 +487,6 @@ class PerlisWalkerDecomposition:
     """Components (d, multiplicity a_d, extension degree) of FA."""
 
     components: tuple[tuple[int, int, int], ...]
-
-    def mass(self) -> int:
-        return sum(a * deg for _, a, deg in self.components)
 
     def to_json(self) -> list[dict]:
         return [

@@ -5,8 +5,10 @@ idempotent-row stream over code matrices.
 Elements are dense coefficient tuples indexed by group element.  Unit
 testing goes through the left regular representation: alpha is a unit iff
 its |G| x |G| matrix is invertible over R.  Over a finite ring the matrix is
-an int64 code matrix, eliminated over the prime rings of R (see `_linalg`);
-over Q and Q(zeta_d) it is eliminated on payloads.
+an int64 code matrix, and `is_unit` and `unit_inverse` hand it to the
+batched elimination of `_linalg` as a stack of one, the same kernel that
+the brute-force scan feeds whole stacks; over Q and Q(zeta_d) it is
+eliminated on payloads.
 """
 
 from __future__ import annotations
@@ -248,7 +250,7 @@ def is_unit(alpha: GroupRingElement) -> bool:
     R = alpha.ring
     if R.order is None:
         return _linalg.is_invertible(R, regular_representation(alpha))
-    return _linalg.is_invertible_codes(R, _code_representation(alpha))
+    return bool(_linalg.is_invertible_codes(R, _code_representation(alpha)[None])[0])
 
 
 def unit_inverse(alpha: GroupRingElement) -> Optional[GroupRingElement]:

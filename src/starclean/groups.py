@@ -98,31 +98,6 @@ class FiniteGroup:
             if not np.array_equal(left, right):
                 raise PreconditionError(f"associativity fails at element {a}")
 
-    @staticmethod
-    def from_table(table, names: Optional[Iterable[str]] = None) -> "FiniteGroup":
-        """Build from a raw table (validated eagerly up to order 512)."""
-        mul = np.asarray(table, dtype=np.int32)
-        n = mul.shape[0]
-        if mul.shape != (n, n):
-            raise PreconditionError("table must be square")
-        identity = None
-        for e in range(n):
-            if np.array_equal(mul[e], np.arange(n)) and np.array_equal(mul[:, e], np.arange(n)):
-                identity = e
-                break
-        if identity is None:
-            raise PreconditionError("no identity element")
-        inv = np.argmax(mul == identity, axis=1).astype(np.int32)
-        grp = FiniteGroup(
-            order=n,
-            mul=mul,
-            inverse=inv,
-            identity=identity,
-            names=tuple(names) if names is not None else tuple(f"g{i}" for i in range(n)),
-        )
-        grp.validate()
-        return grp
-
 
 @dataclass(eq=False)
 class Subgroup:
@@ -140,19 +115,6 @@ class Subgroup:
 
     def __post_init__(self):
         self._member_set = frozenset(self.members)
-
-    def check_closed(self) -> bool:
-        s = self._member_set
-        G = self.parent
-        if G.identity not in s:
-            return False
-        for a in self.members:
-            if G.inv_idx(a) not in s:
-                return False
-            for b in self.members:
-                if G.mul_idx(a, b) not in s:
-                    return False
-        return True
 
 
 class Presentation(str, Enum):
@@ -515,41 +477,6 @@ def center(G: FiniteGroup) -> Subgroup:
     return Subgroup(G, tuple(members))
 
 
-def subgroup_generated(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
-    seen = {G.identity}
-    frontier = [G.identity]
-    gens = list(gens)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = G.mul_idx(a, g)
-                if b not in seen:
-                    seen.add(b)
-                    nxt.append(b)
-        frontier = nxt
-    return Subgroup(G, tuple(sorted(seen)))
-
-
-def commutator_subgroup(G: FiniteGroup) -> Subgroup:
-    comms = set()
-    for g in range(G.order):
-        gi = G.inv_idx(g)
-        for h in range(G.order):
-            c = G.mul_idx(G.mul_idx(G.mul_idx(gi, G.inv_idx(h)), g), h)
-            comms.add(c)
-    return subgroup_generated(G, comms)
-
-
-def is_slc(G: FiniteGroup) -> bool:
-    """True iff G / Z(G) is the Klein four-group."""
-    Z = center(G)
-    if G.order != 4 * Z.order:
-        return False
-    zset = Z._member_set
-    return all(G.mul_idx(g, g) in zset for g in range(G.order))
-
-
 def element_orders(G: FiniteGroup) -> np.ndarray:
     """Orders of all elements (vectorised power walk)."""
     n = G.order
@@ -613,9 +540,6 @@ class InvolutionMap:
     def __post_init__(self):
         self.image = np.asarray(self.image, dtype=np.int32)
         self.image.setflags(write=False)
-
-    def apply(self, g: int) -> int:
-        return int(self.image[g])
 
     def check(self) -> bool:
         img = self.image

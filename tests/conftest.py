@@ -1,6 +1,7 @@
-"""Shared fixtures, plus the paper-facing oracles that the runtime does not
-need: exhaustive enumeration of RG, Theorem B's biconditional, the closed-form
-involution on (RG)f and the problem element of a witness."""
+"""Shared fixtures, plus the oracles that the runtime does not need:
+exhaustive enumeration of RG, the element-by-element brute-force scan,
+Theorem B's biconditional, the closed-form involution on (RG)f, the problem
+element of a witness, and the group-theoretic checks on built groups."""
 
 import itertools
 
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import settings
 
 from starclean import canonical as cn, coeff, groups, groupring as gr
-from starclean.decide import Reason, Status, Verdict
-from starclean.errors import BudgetError
+from starclean.decide import BruteReport, Reason, Status, Verdict
+from starclean.errors import BudgetError, PreconditionError
 
 settings.register_profile("suite", deadline=None, max_examples=30)
 settings.load_profile("suite")
@@ -71,7 +72,7 @@ def group_from_permutations(perms):
     for i, a in enumerate(elements):
         for j, b in enumerate(elements):
             table[i, j] = index[tuple(a[b[k]] for k in range(len(b)))]
-    return groups.FiniteGroup.from_table(table)
+    return group_from_table(table)
 
 
 @pytest.fixture(scope="session")
@@ -87,6 +88,66 @@ def dihedral8_perms():
 
 # ---------------------------------------------------------------- oracles
 
+def group_from_table(table, names=None):
+    """A FiniteGroup from a raw multiplication table, validated eagerly."""
+    mul = np.asarray(table, dtype=np.int32)
+    n = mul.shape[0]
+    if mul.shape != (n, n):
+        raise PreconditionError("table must be square")
+    identity = next(
+        (e for e in range(n)
+         if np.array_equal(mul[e], np.arange(n)) and np.array_equal(mul[:, e], np.arange(n))),
+        None,
+    )
+    if identity is None:
+        raise PreconditionError("no identity element")
+    G = groups.FiniteGroup(
+        order=n,
+        mul=mul,
+        inverse=np.argmax(mul == identity, axis=1).astype(np.int32),
+        identity=identity,
+        names=tuple(names) if names is not None else tuple(f"g{i}" for i in range(n)),
+    )
+    G.validate()
+    return G
+
+
+def is_closed(H):
+    """The member set of a Subgroup holds the identity, inverses and products."""
+    G = H.parent
+    s = set(H.members)
+    return G.identity in s and all(
+        G.inv_idx(a) in s and all(G.mul_idx(a, b) in s for b in H.members) for a in H.members
+    )
+
+
+def commutator_subgroup(G):
+    """The subgroup generated by all commutators g^-1 h^-1 g h."""
+    seen = {G.identity}
+    frontier = [G.identity]
+    comms = {
+        G.mul_idx(G.mul_idx(G.mul_idx(G.inv_idx(g), G.inv_idx(h)), g), h)
+        for g in range(G.order)
+        for h in range(G.order)
+    }
+    while frontier:
+        frontier = [G.mul_idx(a, c) for a in frontier for c in comms]
+        frontier = [b for b in dict.fromkeys(frontier) if b not in seen]
+        seen.update(frontier)
+    return groups.Subgroup(G, tuple(sorted(seen)))
+
+
+def is_slc(G):
+    """True iff G / Z(G) is the Klein four-group."""
+    Z = groups.center(G)
+    return G.order == 4 * Z.order and all(G.mul_idx(g, g) in Z for g in range(G.order))
+
+
+def pw_mass(pw):
+    """Dimension of FA counted from a Perlis-Walker decomposition."""
+    return sum(a * deg for _, a, deg in pw.components)
+
+
 def from_ints(RG, coeffs):
     return RG.from_coeffs(RG.ring.from_int(c) for c in coeffs)
 
@@ -99,6 +160,63 @@ def enumerate_elements(RG, budget=1 << 23):
     R = RG.ring
     for codes in itertools.product(range(R.order), repeat=RG.group.order):
         yield RG.from_coeffs(R.decode(c) for c in reversed(codes))
+
+
+def _reference_stream(RG, budget):
+    """(element code rows, mode) one row at a time: counter order within the
+    full-scan limit, else the stratified draw, sparse rows first."""
+    n, q = RG.group.order, RG.ring.order
+    if q**n <= budget.full_scan_limit:
+        rows = (np.array(c[::-1]) for c in itertools.product(range(q), repeat=n))
+        return rows, "full"
+    rng = np.random.default_rng(budget.seed)
+
+    def sampled():
+        sparse = budget.sample_count // 5
+        for _ in range(sparse):
+            row = np.zeros(n, dtype=np.int64)
+            size = int(rng.integers(1, min(4, n) + 1))
+            pos = rng.choice(n, size=size, replace=False)
+            row[pos] = rng.integers(1, q, size=size)
+            yield row
+        for _ in range(budget.sample_count - sparse):
+            yield rng.integers(0, q, size=n).astype(np.int64)
+
+    return sampled(), "sampled"
+
+
+def reference_scan(RG, structure_rows, structure_full, prop, budget):
+    """The element-by-element scan: each element of the stream in order
+    against each structure row p in order, with alpha - p tested by
+    groupring.is_unit behind a memo on its codes, up to the first element
+    with no decomposition."""
+    R = RG.ring
+    size = structure_rows.shape[0]
+    neg_rows = R.vec.neg(structure_rows)
+    memo = {}
+
+    def unit(codes):
+        key = tuple(codes.tolist())
+        if key not in memo:
+            memo[key] = gr.is_unit(RG.from_coeffs(R.decode(c) for c in key))
+        return memo[key]
+
+    stream, mode = _reference_stream(RG, budget)
+    tested = 0
+    for codes in stream:
+        tested += 1
+        if any(unit(R.vec.add(codes, neg)) for neg in neg_rows):
+            continue
+        alpha = RG.from_coeffs(R.decode(int(c)) for c in codes)
+        if structure_full:
+            return BruteReport(prop, False, alpha, mode, tested, size, True)
+        kind = "projection" if prop == "star-clean" else "idempotent"
+        note = f"undecomposed element found, but {kind} set is sampled"
+        return BruteReport(prop, None, alpha, mode, tested, size, False, notes=[note])
+    if mode == "full":
+        return BruteReport(prop, True, None, mode, tested, size, structure_full)
+    note = "sampled scan: no counterexample in samples"
+    return BruteReport(prop, None, None, mode, tested, size, structure_full, notes=[note])
 
 
 def theorem_b_decide(R, rank, clean_status):

@@ -22,7 +22,7 @@ from starclean import (
 )
 from starclean.decide import Budget
 from starclean.groups import Presentation as P
-from conftest import enumerate_elements, involution_formula, problem_element
+from conftest import enumerate_elements, involution_formula, problem_element, pw_mass
 
 
 @contextmanager
@@ -351,6 +351,6 @@ def test_perlis_walker_mass_check():
                 if F.char and A.order % F.char == 0:
                     continue
                 pw = decide.perlis_walker(F, A)
-                assert pw.mass() == A.order, (A.order, F.spec_string())
+                assert pw_mass(pw) == A.order, (A.order, F.spec_string())
                 checked += 1
         assert checked > 1000

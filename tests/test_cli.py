@@ -1,10 +1,15 @@
+import ctypes
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from starclean import cli, groups
 from starclean.decide import Budget
 from starclean.errors import ParseError
+from conftest import is_slc
 
 
 # ---------------------------------------------------------------- parsing
@@ -25,7 +30,7 @@ def test_parse_q8xc7():
 def test_parse_d5_minimal():
     s = cli.parse_group_spec("D5[k=1,k2=1,k3=1]")
     assert s.group.order == 32
-    assert groups.is_slc(s.group)
+    assert is_slc(s.group)
 
 
 def test_parse_abelian_product():
@@ -318,3 +323,37 @@ def test_json_reports_deterministic_and_roundtrip(capsys):
     again = json.loads(json.dumps(a, sort_keys=True))
     assert again["theory"] == a["theory"]
     assert again["agreement"] == a["agreement"]
+
+
+# ---------------------------------------------------------------- memory
+
+_BLOCK_CYCLES = """
+import resource, sys
+import numpy as np
+from starclean import cli
+cli.main(["levels", "--prime", "7"])
+def cycle():
+    blocks = [np.ones(1 << 19) for _ in range(3)]  # three 4 MB scan-sized blocks
+    del blocks
+cycle()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    cycle()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, file=sys.stderr)
+"""
+
+
+def test_freed_blocks_are_reused_without_page_faults():
+    """After `main`, dropping and rebuilding multi-MB numpy blocks faults no
+    pages in again (glibc only: elsewhere malloc keeps its defaults)."""
+    pytest.importorskip("resource")
+    try:
+        ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        pytest.skip("the C library has no mallopt")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    proc = subprocess.run([sys.executable, "-c", _BLOCK_CYCLES], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    # 15 blocks of 4 MB would fault about 15,000 pages if returned each time
+    assert int(proc.stderr.strip().splitlines()[-1]) < 200

@@ -5,7 +5,7 @@ from starclean import cli, coeff, decide, groups, groupring as gr
 from starclean.decide import Budget, Status
 from starclean.errors import CharDividesError, PreconditionError
 from starclean.groups import Presentation as P
-from conftest import theorem_b_decide
+from conftest import pw_mass, reference_scan, theorem_b_decide
 
 
 # ---------------------------------------------------------------- number theory
@@ -72,13 +72,13 @@ def test_necessary_equation_condition(q8, f3):
 def test_perlis_walker_q_c7(qq):
     pw = decide.perlis_walker(qq, groups.cyclic_group(7))
     assert pw.components == ((1, 1, 1), (7, 1, 6))
-    assert pw.mass() == 7
+    assert pw_mass(pw) == 7
 
 
 def test_perlis_walker_f3_c8(f3):
     pw = decide.perlis_walker(f3, groups.cyclic_group(8))
     assert pw.components == ((1, 1, 1), (2, 1, 1), (4, 1, 2), (8, 2, 2))
-    assert pw.mass() == 8
+    assert pw_mass(pw) == 8
 
 
 def test_perlis_walker_trivial(qq):
@@ -100,7 +100,7 @@ def test_perlis_walker_random_mass(qq, f3, f5):
         for F in (qq, f3, f5):
             if F.char and A.order % F.char == 0:
                 continue
-            assert decide.perlis_walker(F, A).mass() == A.order
+            assert pw_mass(decide.perlis_walker(F, A)) == A.order
 
 
 # ---------------------------------------------------------------- theorem C / B
@@ -208,6 +208,67 @@ def test_brute_star_clean_sampled_mode(q8, f3):
     # sampling still runs against the full projection set
     assert rep.structure_full
     assert rep.result is False  # counterexamples are dense enough to hit
+
+
+_SAMPLED = Budget(full_scan_limit=1000, sample_count=300)
+
+
+@pytest.mark.parametrize(
+    "spec,ring,prop,involution,budget",
+    [
+        ("Q8", "F3", "clean", None, Budget()),
+        ("D1[k=1]", "F3", "clean", None, Budget()),
+        ("Q8", "F3", "star-clean", "canonical", Budget()),
+        ("Q8", "F3", "star-clean", "classical", Budget()),
+        ("Q8", "F5", "clean", None, _SAMPLED),
+        ("Q8", "Z/9", "star-clean", "canonical", _SAMPLED),
+        ("Q8", "Z/15", "star-clean", "canonical", _SAMPLED),
+        ("Q8", "F3^2", "star-clean", "canonical", _SAMPLED),
+        ("C3xC2", "F5^2", "star-clean", "classical", _SAMPLED),
+        ("D2[k=2]", "F3", "clean", None, Budget()),
+        ("D1[k=2]", "Z/9", "star-clean", "canonical", Budget()),
+        ("Q8xC2", "F3^3", "star-clean", "canonical", Budget(sample_count=60)),
+    ],
+    ids=[
+        "Q8-F3-clean", "D1-F3-clean", "Q8-F3-canonical", "Q8-F3-classical",
+        "Q8-F5-clean-sampled", "Q8-Z9", "Q8-Z15", "Q8-F9", "C3xC2-F25",
+        "D2k2-F3-clean-sampled-set", "D1k2-Z9-stops-at-1", "Q8xC2-F27-bytes-keys",
+    ],
+)
+def test_block_scan_matches_element_by_element_reference(spec, ring, prop, involution, budget):
+    """The block scan with its unit cache gives the report and counterexample
+    of the element-by-element loop on groupring.is_unit."""
+    if involution is None:
+        RG, _ = _carrier(spec, ring, "classical")
+        rows, full = decide.idempotent_set(RG, budget)
+        rep = decide.brute_clean(RG.group, RG.ring, budget)
+    else:
+        RG, sigma = _carrier(spec, ring, involution)
+        rows, full = decide.projection_set(RG, sigma, budget)
+        rep = decide.brute_star_clean(RG.group, sigma, RG.ring, budget)
+    ref = reference_scan(RG, rows, full, prop, budget)
+    assert rep.to_json() == ref.to_json()
+    assert rep.counterexample == ref.counterexample
+    if budget == Budget() and rep.mode == "sampled":
+        # a sampled structure set, and a scan that stops in its first blocks
+        assert not rep.structure_full and rep.tested <= 5
+    if spec == "Q8xC2":
+        # base-q values of its rows overflow int64; the cache's row keys do not
+        assert RG.element_count() >= 2**63 and rep.mode == "sampled"
+
+
+def test_unit_cache_keys_stay_exact_beyond_int64():
+    """Over Q8xC2/F27 (27^16 > 2^63) the rows of v and v + 2^64 share a
+    wrapped int64 base-27 value; the cache's row keys tell them apart."""
+    q, n = 27, 16
+    rows = []
+    for v in (123456789, 123456789 + 2**64):
+        rows.append([v // q**i % q for i in range(n)])
+    rows = np.array(rows, dtype=np.int64)
+    assert len(set((rows @ q ** np.arange(n, dtype=np.int64)).tolist())) == 1
+    keys = decide._row_keys(rows, q)
+    assert keys[0] != keys[1]
+    assert decide._row_keys(rows[:1], q) == keys[:1]
 
 
 def _eager_first_decomposition(alpha, sigma, budget):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -184,6 +186,66 @@ def test_unit_predicate_matches_exhaustive_inverse_search(factors, ring):
         inverse = next((b for b in els if a * b == one), None)
         assert gr.is_unit(a) == (inverse is not None)
         assert gr.unit_inverse(a) == inverse
+
+
+def _integer_det(M):
+    """Exact determinant of an integer matrix (Bareiss elimination)."""
+    A = [[int(v) for v in row] for row in M]
+    n, sign, prev = len(A), 1, 1
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if A[i][k]), None)
+            if swap is None:
+                return 0
+            A[k], A[swap] = A[swap], A[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+        prev = A[k][k]
+    return sign * A[-1][-1]
+
+
+def _reference_invertible(R, M):
+    """Per matrix: over Z/n and GF(p) the determinant is a unit; over GF(p^k)
+    Gauss-Jordan on payloads finds a pivot in every column."""
+    if isinstance(R, coeff.ModRing) or R.k == 1:
+        return math.gcd(_integer_det(M) % R.order, R.order) == 1
+    return _linalg._field_elim(R, [[R.decode(int(c)) for c in row] for row in M]) is not None
+
+
+def _seeded_stack(R, rng, N, m):
+    """N random m x m code matrices, every third biased toward singular: a
+    row times a non-unit scalar, or a last row dependent on the first two."""
+    vec = R.vec
+    nonunit = R.factorization[0][0] if isinstance(R, coeff.ModRing) else 0
+    M = rng.integers(0, R.order, size=(N, m, m))
+    for i in range(0, N, 3):
+        if m == 1 or i % 2:
+            M[i, 0] = vec.mul(M[i, 0], np.int64(nonunit))
+        else:
+            dep = vec.mul(M[i, 0], np.int64(rng.integers(0, R.order)))
+            M[i, -1] = dep if m == 2 else vec.add(dep, M[i, 1])
+    return M
+
+
+@pytest.mark.parametrize("ring", ["F3", "F5", "F13", "Z/9", "Z/15", "Z/25", "F3^2", "F3^3", "F3^7"])
+def test_batched_unit_kernel_matches_per_matrix_reference(ring):
+    """is_invertible_codes on seeded stacks, stacks of one among them."""
+    R = coeff.make_ring(ring)
+    rng = np.random.default_rng(7)
+    shapes = [(1, 1), (1, 4), (1, 8), (9, 1), (12, 3), (30, 4), (60, 8)]
+    if R.order > 1024:  # scalar `vec` and payload reference: keep it small
+        shapes = [(1, 1), (1, 4), (9, 1), (9, 3), (18, 6)]
+    seen = set()
+    for N, m in shapes:
+        M = _seeded_stack(R, rng, N, m)
+        got = _linalg.is_invertible_codes(R, M)
+        expected = [_reference_invertible(R, A) for A in M]
+        assert got.dtype == bool and got.shape == (N,)
+        assert got.tolist() == expected, (N, m)
+        seen.update(expected)
+    assert seen == {True, False}
 
 
 def _near_unit_draws(RG, rng, count):
