@@ -220,8 +220,7 @@ def run(job: JobSpec) -> tuple[int, dict]:
                 break
         if dec is None:
             raise PreconditionError("no *-clean decomposition found to lift")
-        result = witness_mod.lift_c2(dec, RG, sigma)
-        result.decomposition.validate(result.sigma)
+        result = witness_mod.lift_c2(dec, RG, sigma)  # validates the lifted pair
         report.update(
             {
                 "base_decomposition": dec.to_dict(),
@@ -314,6 +313,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="starclean", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

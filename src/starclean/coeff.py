@@ -88,15 +88,12 @@ class VecOps:
     neg: Callable[[np.ndarray], np.ndarray]
 
 
-def _scalar_vec(R: CoefficientRing) -> VecOps:
-    """Element-wise lifts of R's scalar operations, for fields too large for tables."""
-    add = np.frompyfunc(R.add, 2, 1)
-    mul = np.frompyfunc(R.mul, 2, 1)
-    neg = np.frompyfunc(R.neg, 1, 1)
+def _mod_vec(n: int) -> VecOps:
+    """Arithmetic mod n: exact on Python ints, and on int64 arrays while n^2 < 2^63."""
     return VecOps(
-        add=lambda A, B: np.asarray(add(A, B), dtype=np.int64),
-        mul=lambda A, B: np.asarray(mul(A, B), dtype=np.int64),
-        neg=lambda A: np.asarray(neg(A), dtype=np.int64),
+        add=lambda A, B: (A + B) % n,
+        mul=lambda A, B: (A * B) % n,
+        neg=lambda A: (-A) % n,
     )
 
 
@@ -146,15 +143,16 @@ class CoefficientRing:
             e >>= 1
         return out
 
-    @property
+    # payloads are immutable, so each ring builds these once
+    @cached_property
     def zero(self) -> Payload:
         return self.from_int(0)
 
-    @property
+    @cached_property
     def one(self) -> Payload:
         return self.from_int(1)
 
-    @property
+    @cached_property
     def half(self) -> Payload:
         return self.inv(self.from_int(2))
 
@@ -225,7 +223,30 @@ def _parse_poly(R: CoefficientRing, text: str, var: str, degree: int) -> list[Fr
             return coords
 
 
-class ModRing(CoefficientRing):
+class _CodeRing(CoefficientRing):
+    """A finite ring whose payloads are its codes 0 .. order - 1: scalar
+    arithmetic is the vectorised code arithmetic on single codes."""
+
+    def add(self, a, b):
+        return int(self.vec.add(a, b))
+
+    def mul(self, a, b):
+        return int(self.vec.mul(a, b))
+
+    def neg(self, a):
+        return int(self.vec.neg(a))
+
+    def elements(self):
+        return iter(range(self.order))
+
+    def encode(self, a):
+        return a
+
+    def decode(self, code):
+        return code
+
+
+class ModRing(_CodeRing):
     """Z/n for odd n >= 3.  Elements are residues in [0, n)."""
 
     kind = "mod"
@@ -238,15 +259,6 @@ class ModRing(CoefficientRing):
         self.char = n
         self.factorization = numtheory.factorize(n)
 
-    def add(self, a, b):
-        return (a + b) % self.n
-
-    def mul(self, a, b):
-        return (a * b) % self.n
-
-    def neg(self, a):
-        return (-a) % self.n
-
     def from_int(self, value):
         return value % self.n
 
@@ -258,23 +270,9 @@ class ModRing(CoefficientRing):
             raise NonUnitError(f"{a} is not a unit in {self!r}")
         return pow(a, -1, self.n)
 
-    def elements(self):
-        return iter(range(self.n))
-
-    def encode(self, a):
-        return a
-
-    def decode(self, code):
-        return code
-
     @cached_property
     def vec(self):
-        n = self.n
-        return VecOps(
-            add=lambda A, B: (A + B) % n,
-            mul=lambda A, B: (A * B) % n,
-            neg=lambda A: (-A) % n,
-        )
+        return _mod_vec(self.n)
 
     def spec_string(self):
         return f"Z/{self.n}"
@@ -286,31 +284,48 @@ class ModRing(CoefficientRing):
         return hash(("mod", self.n))
 
 
-def _gf_poly_mulmod(a, b, modulus, p):
-    # dense tuples over F_p, reduced mod the monic modulus
+def _reduction_rows(modulus: tuple[int, ...], p: Optional[int] = None) -> np.ndarray:
+    """x^(k+i) mod the monic integer polynomial `modulus` of degree k, for
+    i = 0 .. k-2: one row of ascending int64 coefficients each, reduced mod p
+    when p is given.  They fold a product of two residues, of degree at most
+    2k-2, back below x^k."""
     k = len(modulus) - 1
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    for i in range(len(out) - 1, k - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(k):
-                out[i - k + j] = (out[i - k + j] - c * modulus[j]) % p
-    return tuple(out[:k]) if len(out) >= k else tuple(out) + (0,) * (k - len(out))
+    rows, row = [], [-c for c in modulus[:-1]]
+    for _ in range(k - 1):
+        row = [c % p for c in row] if p else row
+        rows.append(row)
+        # times x: shift up and replace the x^k term by its reduction
+        row = [c - row[-1] * m for c, m in zip([0] + row[:-1], modulus)]
+    return np.array(rows, dtype=np.int64).reshape(k - 1, k)
 
 
-def _gf_poly_powmod(a, e, modulus, p):
-    k = len(modulus) - 1
-    out = (1,) + (0,) * (k - 1)
-    base = a
+def _gf_mul_digits(A: np.ndarray, B: np.ndarray, rows: np.ndarray, p: int) -> np.ndarray:
+    """The GF(p^k) product of base-p digit arrays (..., k), broadcast together.
+
+    The digit convolution is folded back below x^k by the reduction rows.
+    Each partial sum is reduced mod p before the next digit product joins it,
+    so no value exceeds p^2 - p: the product is exact while p^2 < 2^63.
+    """
+    k = rows.shape[1]
+    conv = np.zeros(np.broadcast_shapes(A.shape, B.shape)[:-1] + (2 * k - 1,), dtype=np.int64)
+    for i in range(k):  # in place: a q x q table needs one temporary of its digits
+        part = conv[..., i : i + k]
+        part += A[..., i, None] * B
+        part %= p
+    out = conv[..., :k]
+    for i in range(k - 1):
+        out += conv[..., k + i, None] * rows[i]
+        out %= p
+    return out
+
+
+def _gf_poly_powmod(a: np.ndarray, e: int, rows: np.ndarray, p: int) -> np.ndarray:
+    out = np.zeros_like(a)
+    out[0] = 1
     while e:
         if e & 1:
-            out = _gf_poly_mulmod(out, base, modulus, p)
-        base = _gf_poly_mulmod(base, base, modulus, p)
+            out = _gf_mul_digits(out, a, rows, p)
+        a = _gf_mul_digits(a, a, rows, p)
         e >>= 1
     return out
 
@@ -344,14 +359,14 @@ def _gf_poly_gcd(a, b, p):
 def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
     """Rabin irreducibility test for a monic polynomial over F_p."""
     k = len(modulus) - 1
-    x = (0, 1) + (0,) * max(0, k - 2)
-    xq = _gf_poly_powmod(x, p**k, modulus, p)
-    if xq != tuple(x[:k]):
+    rows = _reduction_rows(modulus, p)
+    x = np.zeros(k, dtype=np.int64)
+    x[1] = 1
+    if (_gf_poly_powmod(x, p**k, rows, p) != x).any():
         return False
     for q, _ in numtheory.factorize(k):
-        xe = _gf_poly_powmod(x, p ** (k // q), modulus, p)
-        diff = tuple((a - b) % p for a, b in zip(xe, x[:k]))
-        g = _gf_poly_gcd(diff + (0,), modulus, p)
+        diff = (_gf_poly_powmod(x, p ** (k // q), rows, p) - x) % p
+        g = _gf_poly_gcd(tuple(diff.tolist()) + (0,), modulus, p)
         if len(g) - 1 != 0:
             return False
     return True
@@ -362,14 +377,14 @@ def _least_irreducible(p: int, k: int) -> tuple[int, ...]:
     """Least monic irreducible of degree k over F_p, ordering candidates
     lexicographically with the top coefficients most significant (so the
     constant term varies fastest and x^k + c is tried first)."""
-    for coeffs in itertools.product(range(p), repeat=k):
-        candidate = tuple(reversed(coeffs)) + (1,)
+    for n in range(p**k):  # the base-p digits of n, constant term first
+        candidate = tuple(n // p**i % p for i in range(k)) + (1,)
         if _is_irreducible(candidate, p):
             return candidate
     raise AssertionError("no irreducible polynomial found")
 
 
-class FiniteField(CoefficientRing):
+class FiniteField(_CodeRing):
     """GF(p^k) for odd prime p.
 
     Elements are integer codes: the base-p digits of a code are the
@@ -394,8 +409,10 @@ class FiniteField(CoefficientRing):
         self.char = p
         if k == 1:
             self.modulus = None
+        elif modulus is None:
+            self.modulus = _least_irreducible(p, k)
         else:
-            self.modulus = tuple(modulus) if modulus is not None else _least_irreducible(p, k)
+            self.modulus = tuple(modulus)
             if len(self.modulus) - 1 != k or self.modulus[-1] != 1:
                 raise RingSpecError("modulus must be monic of degree k")
             if not _is_irreducible(self.modulus, p):
@@ -410,22 +427,6 @@ class FiniteField(CoefficientRing):
         p = self.p
         return sum(int(d) % p * p**i for i, d in enumerate(digs))
 
-    def add(self, a, b):
-        if self.k == 1:
-            return (a + b) % self.p
-        return self.undigits((x + y) % self.p for x, y in zip(self.digits(a), self.digits(b)))
-
-    def neg(self, a):
-        if self.k == 1:
-            return (-a) % self.p
-        return self.undigits((-x) % self.p for x in self.digits(a))
-
-    def mul(self, a, b):
-        if self.k == 1:
-            return (a * b) % self.p
-        prod = _gf_poly_mulmod(self.digits(a), self.digits(b), self.modulus, self.p)
-        return self.undigits(prod)
-
     def from_int(self, value):
         return value % self.p
 
@@ -439,44 +440,25 @@ class FiniteField(CoefficientRing):
             return pow(a, -1, self.p)
         return self.pow(a, self.order - 2)
 
-    def elements(self):
-        return iter(range(self.order))
-
-    def encode(self, a):
-        return a
-
-    def decode(self, code):
-        return code
-
-    def _tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Dense add, mul and neg tables on codes."""
-        q = self.order
-        codes = np.arange(q)
-        digs = np.stack([(codes // self.p**i) % self.p for i in range(self.k)], axis=1)
-        pows = self.p ** np.arange(self.k)
-        add = ((digs[:, None, :] + digs[None, :, :]) % self.p @ pows).astype(np.int64)
-        neg = ((-digs) % self.p @ pows).astype(np.int64)
-        mul = np.zeros((q, q), dtype=np.int64)
-        for a in range(q):
-            da = self.digits(a)
-            for b in range(a, q):
-                c = self.undigits(_gf_poly_mulmod(da, self.digits(b), self.modulus, self.p))
-                mul[a, b] = c
-                mul[b, a] = c
-        return add, mul, neg
-
     @cached_property
     def vec(self):
-        p = self.p
-        if self.k == 1:
-            return VecOps(
-                add=lambda A, B: (A + B) % p,
-                mul=lambda A, B: (A * B) % p,
-                neg=lambda A: (-A) % p,
-            )
+        p, k = self.p, self.k
+        if k == 1:
+            return _mod_vec(p)
+        rows = _reduction_rows(self.modulus, p)
+        # place values of the digits: int64 while codes fit, else exact ints
+        pows = np.array([p**i for i in range(k)], dtype=np.int64 if self.order < 2**63 else object)
+
+        def digits(A):
+            return (np.asarray(A)[..., None] // pows % p).astype(np.int64, copy=False)
+
+        add = lambda A, B: (digits(A) + digits(B)) % p @ pows
+        mul = lambda A, B: _gf_mul_digits(digits(A), digits(B), rows, p) @ pows
+        neg = lambda A: -digits(A) % p @ pows
         if self.order > _TABLE_CAP:
-            return _scalar_vec(self)
-        addt, mult, negt = self._tables()
+            return VecOps(add=add, mul=mul, neg=neg)
+        codes = np.arange(self.order)
+        addt, mult, negt = add(codes[:, None], codes), mul(codes[:, None], codes), neg(codes)
         return VecOps(
             add=lambda A, B: addt[A, B],
             mul=lambda A, B: mult[A, B],
@@ -596,25 +578,7 @@ class CyclotomicField(CoefficientRing):
         self.d = d
         self.modulus = cyclotomic_polynomial(d)
         self.degree = len(self.modulus) - 1
-        # reduction rows: x^(degree + i) mod Phi_d for i = 0 .. degree - 2
-        rows = []
-        if self.degree > 1:
-            prev = [Fraction(-c) for c in self.modulus[:-1]]
-            rows.append(tuple(prev))
-            for _ in range(self.degree - 2):
-                shifted = [Fraction(0)] + prev[:-1]
-                top = prev[-1]
-                if top:
-                    for j in range(self.degree):
-                        shifted[j] += top * -self.modulus[j]
-                prev = shifted
-                rows.append(tuple(prev))
-        self._red_rows = rows
-        # the modulus is monic with integer coefficients, so reduction rows
-        # are integral; keep an int64 copy for vectorised squaring
-        self._red_int = np.array(
-            [[int(c) for c in row] for row in rows], dtype=np.int64
-        ).reshape(len(rows), self.degree)
+        self._red_rows = _reduction_rows(self.modulus).tolist()
         if self.degree == 1:
             self.zeta = (Fraction(-self.modulus[0]),)
         else:
@@ -697,7 +661,7 @@ class CyclotomicField(CoefficientRing):
         out = conv[: self.degree].copy()
         if conv.shape[0] > self.degree:
             hi = conv[self.degree :]
-            out = out + hi @ self._red_int[: hi.shape[0]]
+            out = out + hi @ np.array(self._red_rows[: hi.shape[0]], dtype=np.int64)
         return out
 
     def fmt(self, a):
@@ -831,33 +795,26 @@ class ThreeSquaresSolution:
 SolveOutcome = Any  # ThreeSquaresSolution | NO_SOLUTION
 
 
-def _finite_three_squares(R: CoefficientRing) -> SolveOutcome:
-    """Exhaustive search over a finite ring, O(|R|^2) via a square-root table."""
-    sqrt_of: dict[int, int] = {}
-    for a in R.elements():
-        s = R.mul(a, a)
-        if s not in sqrt_of:
-            sqrt_of[s] = a
-    minus_one = R.neg(R.one)
-    for z in R.elements():
-        z2 = R.mul(z, z)
-        for y in R.elements():
-            target = R.sub(R.sub(minus_one, z2), R.mul(y, y))
-            x = sqrt_of.get(target)
-            if x is not None:
-                return ThreeSquaresSolution(R, x, y, z)
-    return NO_SOLUTION
+def _finite_three_squares(R: CoefficientRing) -> tuple[int, int, int]:
+    """The triple (x, y, 0) with x^2 + y^2 + 1 = 0 in a finite ring of odd
+    order, y the least code for which -1 - y^2 is a square, x its least root.
 
-
-def _prime_subfield_three_squares(F: FiniteField) -> SolveOutcome:
-    # constants multiply like integers mod p, so a prime-field solution embeds
-    p = F.p
-    sqrt_of = {(a * a) % p: a for a in range(p - 1, -1, -1)}
-    for y in range(p):
-        x = sqrt_of.get((-1 - y * y) % p)
-        if x is not None:
-            return ThreeSquaresSolution(F, x, y, 0)
-    raise AssertionError("x^2+y^2+1=0 is always solvable over an odd prime field")
+    z = 0 always suffices: in GF(q) the (q + 1)/2 squares and the (q + 1)/2
+    values -1 - y^2 must meet (Lidl-Niederreiter, *Finite Fields*), and a
+    solution mod an odd prime p has (x, y) != 0 mod p, so it lifts to Z/p^e
+    by Hensel's lemma and combines over Z/n by CRT.  Hence an exhaustive
+    search over z, then y, meets this same triple first.
+    """
+    codes = np.arange(R.order)
+    squares = R.vec.mul(codes, codes)
+    least_root = np.full(R.order, -1)
+    found, first = np.unique(squares, return_index=True)
+    least_root[found] = first
+    x = least_root[R.vec.add(R.vec.neg(squares), R.neg(R.one))]
+    y = int(np.argmax(x >= 0))
+    if x[y] < 0:
+        raise AssertionError(f"x^2 + y^2 + 1 = 0 has no solution in {R!r}")
+    return int(x[y]), y, 0
 
 
 def _two_squares_from_root_chain(F: CyclotomicField, p: int, n: int):
@@ -973,8 +930,9 @@ def local_degree_beyond_paper(F: CoefficientRing) -> Optional[dict]:
 def solve_three_squares(R: CoefficientRing) -> SolveOutcome:
     """Decide solvability of X^2 + Y^2 + Z^2 + 1 = 0 in R.
 
-    Finite rings are searched exhaustively (prime-subfield shortcut for large
-    extension fields); Q has no solution by positivity.  Q(zeta_d) gets an
+    Finite rings always have a solution with z = 0, found in one pass over
+    y (over the prime subfield for large extension fields); Q has no
+    solution by positivity.  Q(zeta_d) gets an
     explicit solution when 4 | d or some p | d has even ord_p(2), and
     NO_SOLUTION otherwise: then the local degree of Q(zeta_d) at 2 is odd
     (see ``local_degree_beyond_paper``).
@@ -984,7 +942,8 @@ def solve_three_squares(R: CoefficientRing) -> SolveOutcome:
     if isinstance(R, CyclotomicField):
         return _cyclotomic_three_squares(R)
     if isinstance(R, FiniteField) and R.order > 10_000:
-        return _prime_subfield_three_squares(R)
+        # constants multiply like integers mod p, so a prime-field solution embeds
+        return ThreeSquaresSolution(R, *_finite_three_squares(FiniteField(R.p)))
     if R.order is not None:
-        return _finite_three_squares(R)
+        return ThreeSquaresSolution(R, *_finite_three_squares(R))
     raise TypeError(f"cannot solve over {R!r}")

@@ -106,7 +106,7 @@ class GroupRingElement:
         self._check(other)
         R = self.ring
         mul = self.group.mul
-        zero = R.zero  # built once: over Q each R.zero is a new Fraction
+        zero = R.zero  # a local: the loops compare every coefficient with it
         out = [zero] * self.group.order
         right = [(h, ch) for h, ch in enumerate(other.coeffs) if ch != zero]
         for g, cg in enumerate(self.coeffs):

@@ -219,6 +219,23 @@ def reference_scan(RG, structure_rows, structure_full, prop, budget):
     return BruteReport(prop, None, None, mode, tested, size, structure_full, notes=[note])
 
 
+def reference_three_squares(R):
+    """The exhaustive O(|R|^2) search for x^2 + y^2 + z^2 + 1 = 0 over a
+    finite ring: z, then y, in code order, with x the least square root of
+    -1 - y^2 - z^2; None when there is no solution."""
+    sqrt_of = {}
+    for a in R.elements():
+        sqrt_of.setdefault(R.mul(a, a), a)
+    minus_one = R.neg(R.one)
+    for z in R.elements():
+        z2 = R.mul(z, z)
+        for y in R.elements():
+            x = sqrt_of.get(R.sub(R.sub(minus_one, z2), R.mul(y, y)))
+            if x is not None:
+                return x, y, z
+    return None
+
+
 def theorem_b_decide(R, rank, clean_status):
     """Theorem B for G = Q8 x C2^rank: RG is *-clean iff it is clean and
     X^2 + Y^2 + Z^2 + 1 = 0 has no solution in R.  `clean_status` is the

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from starclean import coeff
+from conftest import reference_three_squares
+from starclean import coeff, numtheory
 from starclean.errors import CharDividesError, NonUnitError, ParseError, RingSpecError
 
 
@@ -18,6 +19,15 @@ def test_f9_modulus_is_least_lex_irreducible():
     F9 = coeff.FiniteField(3, 2)
     assert F9.order == 9
     assert F9.modulus == (1, 0, 1)  # x^2 + 1 has no root mod 3
+
+
+def test_explicit_modulus_is_checked():
+    F = coeff.FiniteField(3, 2, modulus=(2, 2, 1))  # x^2 + 2x + 2 has no root mod 3
+    assert F.modulus == (2, 2, 1) and F.mul(3, 3) == F.undigits((1, 1))  # w^2 = w + 1
+    with pytest.raises(RingSpecError):
+        coeff.FiniteField(3, 2, modulus=(2, 0, 1))  # x^2 + 2 = (x + 1)(x + 2)
+    with pytest.raises(RingSpecError):
+        coeff.FiniteField(3, 2, modulus=(1, 0, 2))
 
 
 def test_even_modulus_rejected():
@@ -213,6 +223,72 @@ def test_parse_rejects_malformed(spec, text):
         coeff.make_ring(spec).parse(text)
 
 
+# ---------------------------------------------------------------- GF(p^k) product vs sympy
+
+# every odd p^k <= 1024 with k >= 2: the fields with dense tables
+_TABLE_EXTENSIONS = [
+    (p, k) for p in range(3, 32, 2) if numtheory.is_prime(p) for k in range(2, 7) if p**k <= 1024
+]
+# above the table cap, one beyond int64 codes, and p just below sqrt(2^63) for k = 2
+_KERNEL_EXTENSIONS = [(3, 7), (5, 5), (7, 4), (3, 40), (3037000493, 2)]
+
+
+def _high_first(coeffs):
+    return [int(c) for c in reversed(coeffs)]
+
+
+def _sympy_gf_product(F, a, b):
+    """a * b in GF(p^k) by sympy's dense polynomial arithmetic over GF(p)."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_mul, gf_rem
+
+    prod = gf_mul(_high_first(F.digits(a)), _high_first(F.digits(b)), F.p, ZZ)
+    return F.undigits(reversed(gf_rem(prod, _high_first(F.modulus), F.p, ZZ)))
+
+
+@pytest.mark.parametrize(
+    "p, k", _TABLE_EXTENSIONS + _KERNEL_EXTENSIONS, ids=lambda v: str(v)
+)
+def test_gf_arithmetic_matches_sympy(p, k):
+    """Whole tables for q <= 49, seeded pairs above; `vec` on arrays and the
+    scalar operations on single codes give the same exact integers."""
+    pytest.importorskip("sympy")
+    F = coeff.FiniteField(p, k)
+    q = F.order
+    if q <= 49:
+        pairs = [(a, b) for a in range(q) for b in range(q)]
+    else:
+        rng = np.random.default_rng(q % 2**32)
+        draw = lambda: F.undigits(rng.integers(0, p, size=k))  # noqa: E731
+        pairs = [(draw(), draw()) for _ in range(200)]
+    expected = [_sympy_gf_product(F, a, b) for a, b in pairs]
+    assert [F.mul(a, b) for a, b in pairs] == expected
+    assert all(type(F.mul(a, b)) is int for a, b in pairs[:5])
+    if q < 2**63:
+        A, B = np.array(pairs, dtype=np.int64).T
+        assert F.vec.mul(A, B).tolist() == expected
+    for a, b in pairs[:50]:
+        digit_sum = F.undigits(x + y for x, y in zip(F.digits(a), F.digits(b)))
+        assert F.add(a, b) == digit_sum
+        assert F.neg(a) == F.undigits(-x for x in F.digits(a))
+
+
+@pytest.mark.parametrize("p, k", _TABLE_EXTENSIONS + _KERNEL_EXTENSIONS[:3], ids=lambda v: str(v))
+def test_modulus_is_least_irreducible_by_sympy(p, k):
+    """Candidates run through the base-p digits of 0, 1, 2, ... (constant
+    term first); the modulus is the first that sympy finds irreducible."""
+    pytest.importorskip("sympy")
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p
+
+    modulus = coeff.FiniteField(p, k).modulus
+    code = sum(c * p**i for i, c in enumerate(modulus[:-1]))
+    assert gf_irreducible_p(_high_first(modulus), p, ZZ)
+    for n in range(code):
+        candidate = [n // p**i % p for i in range(k)] + [1]
+        assert not gf_irreducible_p(_high_first(candidate), p, ZZ), candidate
+
+
 # ---------------------------------------------------------------- three squares
 
 def test_three_squares_f3_exact_triple(f3):
@@ -258,6 +334,32 @@ def test_three_squares_agrees_with_naive_loop(ring):
     assert (naive is not None) == isinstance(sol, coeff.ThreeSquaresSolution)
     if naive is not None:
         assert sol.verify()
+
+
+def _odd_prime_powers(limit):
+    return [(p, k) for p in range(3, limit + 1, 2) if numtheory.is_prime(p)
+            for k in range(1, limit.bit_length()) if p**k <= limit]
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [coeff.ModRing(n) for n in range(3, 100, 2)]
+    + [coeff.FiniteField(p, k) for p, k in _odd_prime_powers(729)],
+    ids=lambda r: r.spec_string(),
+)
+def test_three_squares_triple_matches_exhaustive_search(ring):
+    sol = coeff.solve_three_squares(ring)
+    assert (sol.x, sol.y, sol.z) == reference_three_squares(ring)
+    assert sol.z == 0 and sol.verify()
+
+
+@pytest.mark.parametrize("p, k", [(3, 9), (5, 6), (101, 2)])
+def test_three_squares_large_field_takes_prime_subfield_triple(p, k):
+    F = coeff.FiniteField(p, k)
+    assert F.order > 10_000
+    sol = coeff.solve_three_squares(F)
+    assert (sol.x, sol.y, sol.z) == reference_three_squares(coeff.FiniteField(p))
+    assert sol.verify()
 
 
 def test_hensel_consistency_prime_powers():
