@@ -15,6 +15,7 @@ Every constructed ring has 2 as a unit; constructors reject anything else.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -37,6 +38,7 @@ from .errors import (
 Payload = Any
 
 _TABLE_CAP = 1024  # largest finite field that gets dense add/mul tables
+_TABLE_BLOCK_CELLS = 1 << 18  # digit-convolution cells per row block of a table build
 
 
 # --------------------------------------------------------------------------
@@ -81,11 +83,16 @@ def cyclotomic_polynomial(d: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class VecOps:
-    """Vectorised arithmetic on numpy arrays of element codes."""
+    """Vectorised arithmetic on numpy arrays of element codes.  Any
+    `wide_terms` products from `wide_mul` sum exactly in int64, and
+    `wide_reduce` maps such a sum to the code of the sum of the products."""
 
     add: Callable[[np.ndarray, np.ndarray], np.ndarray]
     mul: Callable[[np.ndarray, np.ndarray], np.ndarray]
     neg: Callable[[np.ndarray], np.ndarray]
+    wide_mul: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    wide_terms: int
+    wide_reduce: Callable[[np.ndarray], np.ndarray]
 
 
 def _mod_vec(n: int) -> VecOps:
@@ -94,6 +101,9 @@ def _mod_vec(n: int) -> VecOps:
         add=lambda A, B: (A + B) % n,
         mul=lambda A, B: (A * B) % n,
         neg=lambda A: (-A) % n,
+        wide_mul=lambda A, B: A * B,  # the plain product
+        wide_terms=(2**63 - 1) // (n - 1) ** 2,
+        wide_reduce=lambda S: S % n,
     )
 
 
@@ -226,6 +236,8 @@ def _parse_poly(R: CoefficientRing, text: str, var: str, degree: int) -> list[Fr
 class _CodeRing(CoefficientRing):
     """A finite ring whose payloads are its codes 0 .. order - 1: scalar
     arithmetic is the vectorised code arithmetic on single codes."""
+
+    is_zero = staticmethod(operator.not_)  # code 0 is zero
 
     def add(self, a, b):
         return int(self.vec.add(a, b))
@@ -442,27 +454,40 @@ class FiniteField(_CodeRing):
 
     @cached_property
     def vec(self):
-        p, k = self.p, self.k
+        p, k, q = self.p, self.k, self.order
         if k == 1:
             return _mod_vec(p)
         rows = _reduction_rows(self.modulus, p)
         # place values of the digits: int64 while codes fit, else exact ints
-        pows = np.array([p**i for i in range(k)], dtype=np.int64 if self.order < 2**63 else object)
+        pows = np.array([p**i for i in range(k)], dtype=np.int64 if q < 2**63 else object)
+        # a wide product is the product's digits in base W, the largest with
+        # W^k < 2^63 (the float root may round up): no sum of (W-1)/(p-1) carries
+        W = int(2 ** (63 / k))
+        W -= W**k >= 2**63
+        wpows = W ** np.arange(k, dtype=np.int64)
 
         def digits(A):
             return (np.asarray(A)[..., None] // pows % p).astype(np.int64, copy=False)
 
         add = lambda A, B: (digits(A) + digits(B)) % p @ pows
-        mul = lambda A, B: _gf_mul_digits(digits(A), digits(B), rows, p) @ pows
+        mul_digits = lambda A, B: _gf_mul_digits(digits(A), digits(B), rows, p)
         neg = lambda A: -digits(A) % p @ pows
-        if self.order > _TABLE_CAP:
-            return VecOps(add=add, mul=mul, neg=neg)
-        codes = np.arange(self.order)
-        addt, mult, negt = add(codes[:, None], codes), mul(codes[:, None], codes), neg(codes)
+        wide = ((W - 1) // (p - 1), lambda S: S[..., None] // wpows % W % p @ pows)
+        if q > _TABLE_CAP:
+            mul = lambda A, B: mul_digits(A, B) @ pows
+            return VecOps(add, mul, neg, lambda A, B: mul_digits(A, B) @ wpows, *wide)
+        # dense tables, built in row blocks that bound the digit convolution
+        codes = np.arange(q)
+        addt, mult, widet = np.empty((3, q, q), dtype=np.int64)
+        step = max(1, _TABLE_BLOCK_CELLS // (q * (2 * k - 1)))
+        for r in range(0, q, step):
+            t = slice(r, r + step)
+            digs = mul_digits(codes[t, None], codes)
+            addt[t], mult[t], widet[t] = add(codes[t, None], codes), digs @ pows, digs @ wpows
+        negt = neg(codes)
         return VecOps(
-            add=lambda A, B: addt[A, B],
-            mul=lambda A, B: mult[A, B],
-            neg=lambda A: negt[A],
+            lambda A, B: addt[A, B], lambda A, B: mult[A, B], lambda A: negt[A],
+            lambda A, B: widet[A, B], *wide,
         )
 
     def fmt(self, a):
@@ -509,6 +534,7 @@ class RationalField(CoefficientRing):
 
     kind = "rationals"
     is_field = True
+    is_zero = staticmethod(operator.not_)  # cheaper than == against a Fraction
 
     def add(self, a, b):
         return a + b

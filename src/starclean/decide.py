@@ -227,7 +227,6 @@ def _projection_rows(RG: GroupRing, sigma: InvolutionMap, budget: Budget):
     orbit_of = np.empty(RG.group.order, dtype=np.int64)
     for i, orbit in enumerate(orbits):
         orbit_of[list(orbit)] = i
-    # np.take keeps rows C-contiguous, which batch_convolve runs fastest on
     return _structure_rows(RG, lambda vals: np.take(vals, orbit_of, axis=1), len(orbits), budget)
 
 
@@ -263,7 +262,8 @@ def _block_bounds(total: int) -> Iterator[tuple[int, int]]:
 
 def _element_stream(RG: GroupRing, budget: Budget):
     """(blocks, mode): code-row blocks of the full counter order within
-    budget, else of stratified samples drawn row by row; see `_block_sizes`."""
+    budget, else of stratified samples (see `_block_sizes`): small-support
+    rows drawn one by one, then uniform rows drawn a whole block at a time."""
     card = RG.element_count()
     n = RG.group.order
     q = RG.ring.order
@@ -271,28 +271,19 @@ def _element_stream(RG: GroupRing, budget: Budget):
         bounds = _block_bounds(card)
         return (counter_digits(np.arange(a, b, dtype=np.int64), q, n) for a, b in bounds), "full"
     rng = np.random.default_rng(budget.seed)
+    sparse = budget.sample_count // 5  # stratum: small-support elements
 
-    def gen_rows():
-        count = budget.sample_count
-        sparse = count // 5  # stratum: small-support elements
-        for _ in range(sparse):
-            row = np.zeros(n, dtype=np.int64)
+    def block(a: int, b: int) -> np.ndarray:
+        out = np.zeros((b - a, n), dtype=np.int64)
+        cut = min(max(sparse - a, 0), b - a)  # the block's stratum rows
+        for row in out[:cut]:
             size = int(rng.integers(1, min(4, n) + 1))
             pos = rng.choice(n, size=size, replace=False)
             row[pos] = rng.integers(1, q, size=size)
-            yield row
-        for _ in range(count - sparse):
-            yield rng.integers(0, q, size=n).astype(np.int64)
-
-    rows = gen_rows()
-
-    def block(size: int) -> np.ndarray:
-        out = np.empty((size, n), dtype=np.int64)
-        for i, row in zip(range(size), rows):
-            out[i] = row
+        out[cut:] = rng.integers(0, q, size=(b - a - cut, n))
         return out
 
-    return (block(b - a) for a, b in _block_bounds(budget.sample_count)), "sampled"
+    return (block(a, b) for a, b in _block_bounds(budget.sample_count)), "sampled"
 
 
 def _scan(

@@ -8,7 +8,8 @@ its |G| x |G| matrix is invertible over R.  Over a finite ring the matrix is
 an int64 code matrix, and `is_unit` and `unit_inverse` hand it to the
 batched elimination of `_linalg` as a stack of one, the same kernel that
 the brute-force scan feeds whole stacks; over Q and Q(zeta_d) it is
-eliminated on payloads.
+eliminated on payloads.  Batched products of code rows (`batch_convolve`)
+are one gathered integer contraction, reduced once.
 """
 
 from __future__ import annotations
@@ -106,11 +107,11 @@ class GroupRingElement:
         self._check(other)
         R = self.ring
         mul = self.group.mul
-        zero = R.zero  # a local: the loops compare every coefficient with it
-        out = [zero] * self.group.order
-        right = [(h, ch) for h, ch in enumerate(other.coeffs) if ch != zero]
+        is_zero = R.is_zero
+        out = [R.zero] * self.group.order
+        right = [(h, ch) for h, ch in enumerate(other.coeffs) if not is_zero(ch)]
         for g, cg in enumerate(self.coeffs):
-            if cg == zero:
+            if is_zero(cg):
                 continue
             row = mul[g]
             for h, ch in right:
@@ -356,10 +357,11 @@ def split(alpha: GroupRingElement, pair: CentralIdempotentPair) -> SplitParts:
     return SplitParts(pair, Q, coset_map, tuple(reps), e_part, f_part)
 
 
-# codes per candidate block and per convolution chunk: bounded memory, and
-# chunks small enough for the convolution's temporaries to stay in cache
+# codes per candidate block and per idempotent-filter chunk: bounded memory
 _CANDIDATE_CELLS = 1 << 19
 _CONVOLVE_CELLS = 1 << 15
+# cells of each gathered temporary of batch_convolve (rows x g x |G|)
+_GATHER_CELLS = 1 << 16
 
 
 def counter_digits(counters: np.ndarray, q: int, width: int, lex: bool = False) -> np.ndarray:
@@ -438,16 +440,25 @@ def idempotent_rows(
 
 def batch_convolve(RG: GroupRing, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Row-wise group-ring products of paired rows of A and B (code matrices);
-    a single-row B multiplies every row of A."""
+    a single-row B multiplies every row of A.  out[:, h] = sum of A[:, g] *
+    B[:, g^-1 h] over the columns g that some row of A uses: one gathered
+    contraction of the ring's wide products (see `VecOps`), reduced once, in
+    slices of at most `wide_terms` g and temporaries of _GATHER_CELLS cells."""
     vec = RG.ring.vec
-    mul_t = RG.group.mul
+    G = RG.group
+    used = np.flatnonzero(A.any(axis=0))
+    left = G.mul[G.inverse[used]]  # left[j, h] = used[j]^-1 h
+    span = max(1, min(used.size, vec.wide_terms))
+    rows = max(1, _GATHER_CELLS // (span * G.order))
     out = np.zeros_like(A)
-    for g in range(RG.group.order):
-        col = A[:, g]
-        if not col.any():
-            continue
-        perm = mul_t[g]
-        out[:, perm] = vec.add(out[:, perm], vec.mul(col[:, None], B))
+    for r in range(0, A.shape[0], rows):
+        # g-major copies, so that the contraction runs along contiguous rows
+        a = A[r : r + rows].T[used]
+        b = np.ascontiguousarray((B if B.shape[0] == 1 else B[r : r + rows]).T)
+        for s in range(0, used.size, span):
+            g = slice(s, s + span)
+            part = vec.wide_reduce(vec.wide_mul(a[g, None], b[left[g]]).sum(axis=0)).T
+            out[r : r + rows] = part if s == 0 else vec.add(out[r : r + rows], part)
     return out
 
 

@@ -1,7 +1,8 @@
 """Shared fixtures, plus the oracles that the runtime does not need:
-exhaustive enumeration of RG, the element-by-element brute-force scan,
-Theorem B's biconditional, the closed-form involution on (RG)f, the problem
-element of a witness, and the group-theoretic checks on built groups."""
+exhaustive enumeration of RG, the per-group-element convolution, the
+element-by-element brute-force scan, Theorem B's biconditional, the
+closed-form involution on (RG)f, the problem element of a witness, and the
+group-theoretic checks on built groups."""
 
 import itertools
 
@@ -162,7 +163,18 @@ def enumerate_elements(RG, budget=1 << 23):
         yield RG.from_coeffs(R.decode(c) for c in reversed(codes))
 
 
-def _reference_stream(RG, budget):
+def reference_convolve(RG, A, B):
+    """Row-wise products of code rows, one modular update per group element
+    g: out[:, g h] += A[:, g] * B[:, h] by the ring's `vec` add and mul."""
+    vec = RG.ring.vec
+    out = np.zeros_like(A)
+    for g in range(RG.group.order):
+        perm = RG.group.mul[g]
+        out[:, perm] = vec.add(out[:, perm], vec.mul(A[:, g, None], B))
+    return out
+
+
+def reference_stream(RG, budget):
     """(element code rows, mode) one row at a time: counter order within the
     full-scan limit, else the stratified draw, sparse rows first."""
     n, q = RG.group.order, RG.ring.order
@@ -201,7 +213,7 @@ def reference_scan(RG, structure_rows, structure_full, prop, budget):
             memo[key] = gr.is_unit(RG.from_coeffs(R.decode(c) for c in key))
         return memo[key]
 
-    stream, mode = _reference_stream(RG, budget)
+    stream, mode = reference_stream(RG, budget)
     tested = 0
     for codes in stream:
         tested += 1

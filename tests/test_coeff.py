@@ -273,6 +273,40 @@ def test_gf_arithmetic_matches_sympy(p, k):
         assert F.neg(a) == F.undigits(-x for x in F.digits(a))
 
 
+@pytest.mark.parametrize("p, k", [(3, 2), (5, 2), (3, 3), (7, 2), (3, 4)])
+def test_tables_built_in_row_blocks_match_one_block(monkeypatch, p, k):
+    """Tables built a few rows at a time (a ragged last block among them)
+    equal the one-block build, and each wide product reduces to its code."""
+    codes = np.arange(p**k)
+    tables = []
+    for cells in (1 << 40, 5 * p**k * (2 * k - 1)):
+        monkeypatch.setattr(coeff, "_TABLE_BLOCK_CELLS", cells)
+        vec = coeff.FiniteField(p, k).vec
+        A, B = codes[:, None], codes
+        tables.append([vec.add(A, B), vec.mul(A, B), vec.neg(codes), vec.wide_mul(A, B)])
+        assert np.array_equal(vec.wide_reduce(vec.wide_mul(A, B)), vec.mul(A, B))
+    for one, blocked in zip(*tables):
+        assert np.array_equal(one, blocked)
+
+
+@pytest.mark.parametrize("ring", ["Z/9", "F13", "F2147483647", "F3^2", "F7^2", "F5^4", "F3^6", "F3^7"])
+def test_wide_sums_stay_exact_at_wide_terms(ring):
+    """`wide_terms` copies of the largest wide product (all products up to
+    the table cap, seeded ones above) stay below 2^63 and reduce to that
+    many times the product's code."""
+    R = coeff.make_ring(ring)
+    vec = R.vec
+    A, B = np.random.default_rng(2).integers(0, R.order, size=(2, 4096))
+    if R.order <= 1024:
+        A, B = np.arange(R.order)[:, None], np.arange(R.order)
+    wide, codes = vec.wide_mul(A, B).ravel(), vec.mul(A, B).ravel()
+    top = int(np.argmax(wide))
+    total = vec.wide_terms * int(wide[top])
+    assert total < 2**63
+    expected = R.mul(R.from_int(vec.wide_terms), int(codes[top]))
+    assert int(vec.wide_reduce(np.array(total, dtype=np.int64))) == expected
+
+
 @pytest.mark.parametrize("p, k", _TABLE_EXTENSIONS + _KERNEL_EXTENSIONS[:3], ids=lambda v: str(v))
 def test_modulus_is_least_irreducible_by_sympy(p, k):
     """Candidates run through the base-p digits of 0, 1, 2, ... (constant

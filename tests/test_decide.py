@@ -5,7 +5,7 @@ from starclean import cli, coeff, decide, groups, groupring as gr
 from starclean.decide import Budget, Status
 from starclean.errors import CharDividesError, PreconditionError
 from starclean.groups import Presentation as P
-from conftest import pw_mass, reference_scan, theorem_b_decide
+from conftest import pw_mass, reference_scan, reference_stream, theorem_b_decide
 
 
 # ---------------------------------------------------------------- number theory
@@ -255,6 +255,24 @@ def test_block_scan_matches_element_by_element_reference(spec, ring, prop, invol
     if spec == "Q8xC2":
         # base-q values of its rows overflow int64; the cache's row keys do not
         assert RG.element_count() >= 2**63 and rep.mode == "sampled"
+
+
+@pytest.mark.parametrize(
+    "spec, ring, count",
+    [("Q8", "F3", 50), ("Q8", "Z/15", 23), ("C2", "F7", 50), ("Q8xC2", "F3^3", 400), ("C3xC2", "F13", 7)],
+)
+def test_sampled_stream_blocks_match_row_by_row_draws(spec, ring, count):
+    """Whole-block draws give the rows of the row-by-row generator, in order.
+    Blocks hold 4, 16, 64, ... rows and the stratum is count // 5 rows, so
+    it ends inside the second or third block, or (count 23) at its edge."""
+    RG, _ = _carrier(spec, ring, "classical")
+    budget = Budget(full_scan_limit=1, sample_count=count, seed=11)
+    blocks, mode = decide._element_stream(RG, budget)
+    rows, ref_mode = reference_stream(RG, budget)
+    assert mode == ref_mode == "sampled"
+    got = np.concatenate(list(blocks))
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.array(list(rows)))
 
 
 def test_unit_cache_keys_stay_exact_beyond_int64():

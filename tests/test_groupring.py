@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from starclean import _linalg, cli, coeff, decide, groups, groupring as gr
 from starclean.decide import Budget
 from starclean.errors import BudgetError, CarrierMismatchError
-from conftest import enumerate_elements, from_ints
+from conftest import enumerate_elements, from_ints, reference_convolve
 
 
 @pytest.fixture(scope="module")
@@ -293,6 +293,51 @@ def test_units_over_infinite_rings(q8, qq):
     assert gr.is_unit(x)
     assert gr.unit_inverse(x) * x == RG.one()
     assert not gr.is_unit(RG.one() + RG.basis(q8.s))
+
+
+# ---------------------------------------------------------------- batched convolution
+
+def _convolve_cases(RG, rng):
+    """(A, B) pairs: paired rows and a single-row B, over dense rows, rows
+    with whole columns unused, rows supported on the centre, an all-zero A
+    and no rows."""
+    G, q = RG.group, RG.ring.order
+    A, B = rng.integers(0, q, size=(2, 40, G.order))
+    skipped = A.copy()
+    skipped[:, rng.choice(G.order, size=G.order // 2, replace=False)] = 0
+    central = np.zeros_like(A)
+    members = list(groups.center(G).members)
+    central[:, members] = rng.integers(0, q, size=(40, len(members)))
+    for left in (A, skipped, central, np.zeros_like(A), A[:0]):
+        yield left, B[: left.shape[0]]
+        yield left, B[:1]
+
+
+@pytest.mark.parametrize(
+    "ring", ["Z/9", "Z/15", "Z/25", "F3", "F13", "F3^2", "F7^2", "F3^5", "F3^7"]
+)
+@pytest.mark.parametrize("group", ["Q8", "D1[k=1]", "Q8xC2", "C3xC2"])
+def test_batch_convolve_matches_per_element_reference(group, ring):
+    """The gathered contraction against one modular update per g, over the
+    SLC groups Q8, D4, Q8 x C2 and the non-SLC C3 x C2; F3^7 lies above the
+    table cap."""
+    G = cli.parse_group_spec(group)
+    RG = gr.GroupRing(getattr(G, "group", G), coeff.make_ring(ring))
+    for A, B in _convolve_cases(RG, np.random.default_rng(5)):
+        got = gr.batch_convolve(RG, A, B)
+        assert got.dtype == np.int64 and got.shape == A.shape
+        assert np.array_equal(got, reference_convolve(RG, A, B))
+
+
+def test_batch_convolve_slices_sums_that_would_overflow(q8):
+    """Over F_(2^31 - 1) eight products (q - 1)^2 pass 2^63: the sum over g
+    runs in slices that each stay below it."""
+    RG = gr.GroupRing(q8.group, coeff.FiniteField(2147483647))
+    assert 8 * (RG.ring.order - 1) ** 2 >= 2**63 and RG.ring.vec.wide_terms < 8
+    rng = np.random.default_rng(3)
+    A, B = rng.integers(RG.ring.order - 3, RG.ring.order, size=(2, 30, 8))
+    for left, right in ((A, B), (A, B[:1])):
+        assert np.array_equal(gr.batch_convolve(RG, left, right), reference_convolve(RG, left, right))
 
 
 # ---------------------------------------------------------------- splitting
