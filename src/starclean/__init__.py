@@ -41,11 +41,9 @@ from .groupring import (
     GroupRing,
     GroupRingElement,
     apply_involution,
-    central_idempotents,
     is_idempotent,
     is_projection,
     is_unit,
-    split,
     unit_inverse,
 )
 from .groups import (

@@ -4,6 +4,11 @@ Every element of (RG)f is uniquely [sum_j (sum_i x_ij a^i) t_j](1-s) with
 x_ij in RK; the form makes the involution a sign flip on the rows j >= 2,
 symmetry a vanishing condition, and the projections of (RG)f exactly the
 idempotents d(1-s) with d supported on the a^i K span (i < m/2).
+
+g*s has index g XOR 1 (see `groups`), so the s-cosets are the index pairs
+(2t, 2t+1), delta = 0 first, and every map here is slicing on those pairs:
+the form folds each pair to x_t = 2^-1 (c_2t - c_2t+1), in (j, i, kappa)
+order.
 """
 
 from __future__ import annotations
@@ -61,56 +66,40 @@ class FCanonicalForm:
         return out
 
 
-def _index_of(S: SLCStructure, j: int, i: int, kappa: int, delta: int) -> int:
-    half_m = S.m // 2
-    return ((j * half_m + i) * S.ksize + kappa) * 2 + delta
+def _chunks(seq: tuple, size: int) -> tuple:
+    return tuple(seq[i : i + size] for i in range(0, len(seq), size))
+
+
+def fold_f(S: SLCStructure, alpha: GroupRingElement) -> FCanonicalForm:
+    """The form of alpha * f, for any alpha in RG: the pair fold."""
+    R = alpha.ring
+    half = R.half
+    c = alpha.coeffs
+    x = tuple(R.mul(half, R.sub(c0, c1)) for c0, c1 in zip(c[0::2], c[1::2]))
+    return FCanonicalForm(S, R, _chunks(_chunks(x, S.ksize), S.m // 2))
 
 
 def in_f_component(S: SLCStructure, alpha: GroupRingElement) -> bool:
     """alpha * f = alpha, i.e. alpha * (1 + s) = 0: coefficients are
     antisymmetric across the s-cosets."""
     R = alpha.ring
-    mul_s = S.group.mul[S.s]
-    for g, c in enumerate(alpha.coeffs):
-        if not R.is_zero(R.add(c, alpha.coeffs[int(mul_s[g])])):
-            return False
-    return True
+    c = alpha.coeffs
+    return all(R.is_zero(R.add(c0, c1)) for c0, c1 in zip(c[0::2], c[1::2]))
 
 
 def decompose_f(S: SLCStructure, alpha: GroupRingElement) -> FCanonicalForm:
-    """The unique x_ij array of alpha in (RG)f; folds the s-components with
-    the sign 2^-1 * (c_(delta=0) - c_(delta=1))."""
+    """The unique x_ij array of alpha in (RG)f."""
     if alpha.group is not S.group:
         raise PreconditionError("element lives on a different group")
     if not in_f_component(S, alpha):
         raise NotInFComponentError("element is not in the f-component")
-    R = alpha.ring
-    half = R.half
-    half_m = S.m // 2
-    rows = []
-    for j in range(4):
-        row = []
-        for i in range(half_m):
-            entry = []
-            for kappa in range(S.ksize):
-                c0 = alpha.coeffs[_index_of(S, j, i, kappa, 0)]
-                c1 = alpha.coeffs[_index_of(S, j, i, kappa, 1)]
-                entry.append(R.mul(half, R.sub(c0, c1)))
-            row.append(tuple(entry))
-        rows.append(tuple(row))
-    return FCanonicalForm(S, R, tuple(rows))
+    return fold_f(S, alpha)
 
 
 def reassemble(form: FCanonicalForm) -> GroupRingElement:
-    S = form.slc
     R = form.ring
-    coeffs = [R.zero] * S.group.order
-    for j in range(4):
-        for i in range(S.m // 2):
-            for kappa, c in enumerate(form.rows[j][i]):
-                coeffs[_index_of(S, j, i, kappa, 0)] = c
-                coeffs[_index_of(S, j, i, kappa, 1)] = R.neg(c)
-    return GroupRingElement(S.group, R, coeffs)
+    flat = (c for row in form.rows for entry in row for c in entry)
+    return GroupRingElement(form.slc.group, R, (v for c in flat for v in (c, R.neg(c))))
 
 
 def is_symmetric_f(form: FCanonicalForm) -> bool:
@@ -125,18 +114,16 @@ def f_projections(
     span (i < m/2), in counter order of the d coefficients.  Exhaustive;
     raises BudgetError when there are more than `budget` candidates."""
     RG = GroupRing(S.group, R)
-    # the d-span is exactly the even indices below |Z|; -d sits on its s-coset
-    span = np.arange(0, S.zsize, 2)
-    coset = S.group.mul[span, S.s]
+    dims = S.zsize // 2  # d sits on the even indices below |Z|, -d on their s-cosets
 
     def scatter(vals: np.ndarray) -> np.ndarray:
         out = np.zeros((vals.shape[0], S.group.order), dtype=np.int64)
         # reversed columns: the stream's lexicographic order becomes counter
         # order of the d coefficients
         vals = vals[:, ::-1]
-        out[:, span] = vals
-        out[:, coset] = R.vec.neg(vals)
+        out[:, 0 : S.zsize : 2] = vals
+        out[:, 1 : S.zsize : 2] = R.vec.neg(vals)
         return out
 
-    chunks, _ = idempotent_rows(RG, scatter, span.size, budget)
+    chunks, _ = idempotent_rows(RG, scatter, dims, budget)
     return [RG.from_coeffs(R.decode(int(c)) for c in row) for rows in chunks for row in rows]

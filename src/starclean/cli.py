@@ -27,15 +27,10 @@ from .decide import Budget, Status
 from .errors import (
     BudgetError,
     CapacityError,
-    CarrierMismatchError,
-    CharDividesError,
     DiscrepancyError,
-    InvalidParameterError,
     NonUnitError,
-    NotInFComponentError,
     ParseError,
     PreconditionError,
-    RingSpecError,
 )
 
 # glibc mallopt parameters (malloc.h)
@@ -136,16 +131,13 @@ def _maybe_explain(report: dict, gobj, ring, job: JobSpec) -> None:
     if not job.explain or not isinstance(gobj, groups.SLCStructure):
         return
     RG = groupring.GroupRing(gobj.group, ring)
-    oms = RG.one() - RG.basis(gobj.s)
-    half = ring.half
     forms = {}
     for cert in report.get("certificates", []):
         if "gamma" in cert:
             gamma = RG.from_dict(
                 {k: ring.parse(v) for k, v in cert["gamma"].items()}
             )
-            fpart = gamma * oms.scale(half)
-            forms["gamma_f_part"] = canonical_mod.decompose_f(gobj, fpart).to_dict()
+            forms["gamma_f_part"] = canonical_mod.fold_f(gobj, gamma).to_dict()
     if forms:
         report["canonical_forms"] = forms
 
@@ -318,24 +310,24 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="starclean", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, group=True, ring=True):
-        if group:
-            p.add_argument("--group", required=True)
-        if ring:
-            p.add_argument("--ring", required=True)
+    def add_common(p, budget=False, explain=False):
+        p.add_argument("--group", required=True)
+        p.add_argument("--ring", required=True)
         p.add_argument("--json", action="store_true")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget", type=int, default=None, help="full-scan cardinality cap")
-        p.add_argument("--explain", action="store_true")
+        if budget:
+            p.add_argument("--budget", type=int, default=None, help="full-scan cardinality cap")
+        if explain:
+            p.add_argument("--explain", action="store_true")
 
     p = sub.add_parser("decide", help="theory-side verdict")
-    add_common(p)
+    add_common(p, explain=True)
     p = sub.add_parser("brute", help="exhaustive/sampled scan")
-    add_common(p)
+    add_common(p, budget=True)
     p.add_argument("--involution", choices=["canonical", "classical"], default="canonical")
     p.add_argument("--property", dest="prop", choices=["star-clean", "clean"], default="star-clean")
     p = sub.add_parser("witness", help="construct a non-*-cleanness witness")
-    add_common(p)
+    add_common(p, explain=True)
     p = sub.add_parser("lift", help="lift a random decomposition across x C2")
     add_common(p)
     p.add_argument("--involution", choices=["canonical", "classical"], default="classical")
@@ -344,7 +336,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--element", default=None, help='JSON map {"name": "coeff"}')
     p.add_argument("--list-projections", action="store_true")
     p = sub.add_parser("crossval", help="theory vs brute force")
-    add_common(p)
+    add_common(p, budget=True, explain=True)
     p.add_argument("--involution", choices=["canonical", "classical"], default="canonical")
     clean_group = p.add_mutually_exclusive_group()
     clean_group.add_argument("--clean", dest="include_clean", action="store_true", default=None)
@@ -403,16 +395,7 @@ def main(argv=None) -> int:
     except (CapacityError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (
-        PreconditionError,
-        InvalidParameterError,
-        RingSpecError,
-        CharDividesError,
-        NonUnitError,
-        NotInFComponentError,
-        CarrierMismatchError,
-        ValueError,
-    ) as exc:
+    except (ValueError, NonUnitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
     except DiscrepancyError as exc:

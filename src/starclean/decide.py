@@ -587,28 +587,6 @@ def theorem_c_decide(fields: Sequence[CoefficientRing], A: FiniteGroup) -> Verdi
     return Verdict(Status.STAR_CLEAN, reasons, certs)
 
 
-def direct_sum_reduce(verdicts: Sequence[Verdict]) -> Verdict:
-    """Componentwise combinator: *-clean iff every component is."""
-    if not verdicts:
-        return Verdict(
-            Status.STAR_CLEAN,
-            [Reason("empty-sum", "Proposition2.6", {"degenerate": True})],
-        )
-    reasons = [Reason("direct-sum", "Proposition2.6", {"components": len(verdicts)})]
-    certs = []
-    for v in verdicts:
-        certs.extend(v.certificates)
-    if any(v.status is Status.NOT_STAR_CLEAN for v in verdicts):
-        for v in verdicts:
-            if v.status is Status.NOT_STAR_CLEAN:
-                reasons.extend(v.reasons)
-                break
-        return Verdict(Status.NOT_STAR_CLEAN, reasons, certs)
-    if all(v.status is Status.STAR_CLEAN for v in verdicts):
-        return Verdict(Status.STAR_CLEAN, reasons, certs)
-    return Verdict(Status.UNKNOWN, reasons, certs)
-
-
 def decide_star_clean(
     S: SLCStructure | FiniteGroup,
     R: CoefficientRing,
@@ -694,13 +672,14 @@ def cross_validate(
     implementation bug).
     """
     G = S.group if isinstance(S, SLCStructure) else S
+    is_canonical = isinstance(S, SLCStructure) and np.array_equal(
+        canonical_involution(S).image, sigma.image
+    )
     timings = {}
     theory = None
     t0 = time.perf_counter()
-    if isinstance(S, SLCStructure):
-        canonical = canonical_involution(S)
-        if np.array_equal(canonical.image, sigma.image):
-            theory = decide_star_clean(S, R, budget)
+    if is_canonical:
+        theory = decide_star_clean(S, R, budget)
     timings["theory_s"] = round(time.perf_counter() - t0, 6)
 
     t0 = time.perf_counter()
@@ -739,10 +718,7 @@ def cross_validate(
     return CrossReport(
         group=group_str,
         ring=R.spec_string(),
-        involution="canonical"
-        if isinstance(S, SLCStructure)
-        and np.array_equal(canonical_involution(S).image, sigma.image)
-        else "custom",
+        involution="canonical" if is_canonical else "custom",
         theory=theory,
         brute_star=brute_star,
         brute_clean_report=clean_report,

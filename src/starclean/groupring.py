@@ -1,6 +1,6 @@
 """Group-ring arithmetic RG with involution extension, idempotent/unit/
-projection predicates, the central e/f splitting, and the batched
-idempotent-row stream over code matrices.
+projection predicates, and the batched idempotent-row stream over code
+matrices.
 
 Elements are dense coefficient tuples indexed by group element.  Unit
 testing goes through the left regular representation: alpha is a unit iff
@@ -22,7 +22,7 @@ import numpy as np
 from . import _linalg
 from .coeff import CoefficientRing, Payload
 from .errors import BudgetError, CarrierMismatchError, PreconditionError
-from .groups import FiniteGroup, InvolutionMap, SLCStructure, Subgroup, quotient_group
+from .groups import FiniteGroup, InvolutionMap
 
 class GroupRingElement:
     """An element of RG as an immutable dense coefficient vector."""
@@ -270,91 +270,6 @@ def unit_inverse(alpha: GroupRingElement) -> Optional[GroupRingElement]:
     if not (alpha * beta == GroupRing(G, R).one() and beta * alpha == GroupRing(G, R).one()):
         raise AssertionError("regular-representation inverse failed to verify")
     return beta
-
-
-# --------------------------------------------------------------------------
-# the central splitting RG = R(G/<s>) + (RG)f
-# --------------------------------------------------------------------------
-
-@dataclass(eq=False)
-class CentralIdempotentPair:
-    """e = (1+s)/2 and f = (1-s)/2 for the SLC commutator generator s."""
-
-    slc: SLCStructure
-    ring: CoefficientRing
-    e: GroupRingElement
-    f: GroupRingElement
-
-    def validate(self) -> None:
-        one = GroupRing(self.slc.group, self.ring).one()
-        zero = GroupRing(self.slc.group, self.ring).zero()
-        ok = (
-            is_idempotent(self.e)
-            and is_idempotent(self.f)
-            and self.e * self.f == zero
-            and self.f * self.e == zero
-            and self.e + self.f == one
-            and self.e.is_central()
-            and self.f.is_central()
-        )
-        if not ok:
-            raise PreconditionError("central idempotent pair invariants fail")
-
-
-def central_idempotents(S: SLCStructure, R: CoefficientRing) -> CentralIdempotentPair:
-    RG = GroupRing(S.group, R)
-    half = R.half
-    e_coeffs = [R.zero] * S.group.order
-    f_coeffs = [R.zero] * S.group.order
-    e_coeffs[S.group.identity] = half
-    e_coeffs[S.s] = half
-    f_coeffs[S.group.identity] = half
-    f_coeffs[S.s] = R.neg(half)
-    return CentralIdempotentPair(S, R, RG.from_coeffs(e_coeffs), RG.from_coeffs(f_coeffs))
-
-
-@dataclass(eq=False)
-class SplitParts:
-    """Image of alpha under RG = R(G/<s>) + (RG)f."""
-
-    pair: CentralIdempotentPair
-    quotient_group: FiniteGroup
-    coset_map: np.ndarray
-    reps: tuple[int, ...]
-    e_part: GroupRingElement  # lives over the quotient group
-    f_part: GroupRingElement  # lives over G, inside (RG)f
-
-    def reassemble(self) -> GroupRingElement:
-        S = self.pair.slc
-        R = self.pair.ring
-        RG = GroupRing(S.group, R)
-        lift = RG.zero()
-        coeffs = list(lift.coeffs)
-        for q_idx, rep in enumerate(self.reps):
-            coeffs[rep] = self.e_part.coeffs[q_idx]
-        lifted = RG.from_coeffs(coeffs)
-        return lifted * self.pair.e + self.f_part
-
-
-def split(alpha: GroupRingElement, pair: CentralIdempotentPair) -> SplitParts:
-    """e-part in quotient coordinates (coefficient of gH = alpha_g + alpha_gs)
-    plus the f-component alpha*f."""
-    S = pair.slc
-    G = S.group
-    R = pair.ring
-    Q, coset_map = quotient_group(G, Subgroup(G, (G.identity, S.s)))
-    reps: list[int] = [-1] * Q.order
-    for g in range(G.order):
-        q = int(coset_map[g])
-        if reps[q] == -1 or g < reps[q]:
-            reps[q] = g
-    q_coeffs = [R.zero] * Q.order
-    for g, c in enumerate(alpha.coeffs):
-        q = int(coset_map[g])
-        q_coeffs[q] = R.add(q_coeffs[q], c)
-    e_part = GroupRingElement(Q, R, q_coeffs)
-    f_part = alpha * pair.f
-    return SplitParts(pair, Q, coset_map, tuple(reps), e_part, f_part)
 
 
 # codes per candidate block and per idempotent-filter chunk: bounded memory

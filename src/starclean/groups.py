@@ -4,8 +4,10 @@ SLC presentations, direct products, structural data, and involutions.
 Elements are indices 0 .. order-1.  For SLC groups built from a presentation
 the index encodes the normal form t_j * a^i * kappa * s^delta, ordered
 lexicographically on (j, i, kappa, delta); consequently the center occupies
-indices [0, |Z|), the element s is index 1, and the transversal {1, x, y, xy}
-sits at indices {0, |Z|, 2|Z|, 3|Z|}.
+indices [0, |Z|), the element s is index 1, the transversal {1, x, y, xy}
+sits at indices {0, |Z|, 2|Z|, 3|Z|}, and since s is central of order 2 and
+delta is the lowest digit, g*s = s*g has index g XOR 1: the s-cosets are the
+index pairs (2t, 2t+1), and G/<s> is the table mul[::2, ::2] // 2.
 
 All structures are immutable after construction and safe to share.
 """
@@ -76,10 +78,6 @@ class FiniteGroup:
 
     def index_of(self, name: str) -> int:
         return self.names.index(name)
-
-    def conjugate(self, g: int, h: int) -> int:
-        """h^-1 g h."""
-        return int(self.mul[self.mul[self.inverse[h], g], h])
 
     def validate(self, force: bool = False) -> None:
         """Check identity, inverses, and associativity (eager up to order 512)."""
@@ -162,14 +160,6 @@ class SLCStructure:
     center: Subgroup
     K: Subgroup
     transversal: tuple[int, int, int, int]
-
-    @property
-    def m2(self) -> int:
-        return 2**self.k2 if self.k2 else 1
-
-    @property
-    def m3(self) -> int:
-        return 2**self.k3 if self.k3 else 1
 
     @property
     def ksize(self) -> int:
@@ -300,18 +290,18 @@ def build_slc(
     abelian = tuple(f for f in abelian if f > 1)
 
     m = 2**k
-    m2 = 2**k2 if uses_b else 1
-    m3 = 2**k3 if uses_c else 1
+    order_b = 2**k2 if uses_b else 1
+    order_c = 2**k3 if uses_c else 1
     half_m = m // 2
 
     # K radices: b, c, then abelian factors; kappa is little-endian mixed radix
     k_radices = []
     k_labels = []
     if uses_b:
-        k_radices.append(m2)
+        k_radices.append(order_b)
         k_labels.append("b")
     if uses_c:
-        k_radices.append(m3)
+        k_radices.append(order_c)
         k_labels.append("c")
     for pos, f in enumerate(abelian):
         k_radices.append(f)
@@ -361,11 +351,11 @@ def build_slc(
         eb_c = None
         if uses_b:
             eb_c = kd[bpos][start:stop, None] + kd[bpos][None, :]
-            eb_c = (eb_c + carry_x * x2b + carry_y * y2b) % m2
+            eb_c = (eb_c + carry_x * x2b + carry_y * y2b) % order_b
         ec_c = None
         if uses_c:
             ec_c = kd[cpos][start:stop, None] + kd[cpos][None, :]
-            ec_c = (ec_c + carry_x * x2c + carry_y * y2c) % m3
+            ec_c = (ec_c + carry_x * x2c + carry_y * y2c) % order_c
         ea_c = ea_c % m
         alpha_c = aA ^ aB
         beta_c = bA ^ bB
@@ -492,38 +482,6 @@ def element_orders(G: FiniteGroup) -> np.ndarray:
         if k > n + 1:
             raise PreconditionError("not a group: an element has unbounded order")
     return orders
-
-
-def quotient_group(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, np.ndarray]:
-    """Quotient G/N for a normal subgroup N; returns (Q, coset_index_map)."""
-    nset = N._member_set
-    for g in range(G.order):
-        for n in N.members:
-            if G.conjugate(n, g) not in nset:
-                raise PreconditionError("subgroup is not normal")
-    rep_of = np.full(G.order, -1, dtype=np.int64)
-    reps = []
-    for g in range(G.order):
-        if rep_of[g] >= 0:
-            continue
-        coset = sorted(G.mul_idx(g, n) for n in N.members)
-        reps.append(coset[0])
-        for c in coset:
-            rep_of[c] = len(reps) - 1
-    q = len(reps)
-    table = np.zeros((q, q), dtype=np.int32)
-    for i, a in enumerate(reps):
-        table[i] = rep_of[G.mul[a, reps]]
-    inv = np.argmax(table == rep_of[G.identity], axis=1).astype(np.int32)
-    names = tuple(f"[{G.names[r]}]" for r in reps)
-    Q = FiniteGroup(
-        order=q,
-        mul=table,
-        inverse=inv,
-        identity=int(rep_of[G.identity]),
-        names=names,
-    )
-    return Q, rep_of
 
 
 # --------------------------------------------------------------------------

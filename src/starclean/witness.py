@@ -32,6 +32,7 @@ from .groups import (
     InvolutionMap,
     Presentation,
     SLCStructure,
+    canonical_involution,
     center,
     direct_product,
     cyclic_group,
@@ -326,7 +327,7 @@ def generate_witness(S: SLCStructure, R: CoefficientRing, z_budget: int = DEFAUL
     validation["condition2"] = _symbolic_condition2(S, R, case, pieces)
     if R.order is not None and R.order ** S.zsize <= z_budget:
         outcome = check_witness(
-            G, R, _canonical_sigma(S), NonCleanWitness(gamma, tau, case), S.s, z_budget
+            G, R, canonical_involution(S), NonCleanWitness(gamma, tau, case), S.s, z_budget
         )
         if not outcome.is_valid:
             raise AssertionError(f"exhaustive check contradicts case {case}")
@@ -335,12 +336,6 @@ def generate_witness(S: SLCStructure, R: CoefficientRing, z_budget: int = DEFAUL
             "z_count": R.order ** S.zsize,
         }
     return NonCleanWitness(gamma, tau, case, data, validation)
-
-
-def _canonical_sigma(S: SLCStructure) -> InvolutionMap:
-    from .groups import canonical_involution
-
-    return canonical_involution(S)
 
 
 # --------------------------------------------------------------------------

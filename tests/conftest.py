@@ -49,6 +49,16 @@ def qq():
     return coeff.RationalField()
 
 
+@pytest.fixture(scope="session")
+def central_ef():
+    """(S, R) -> the central idempotents e = (1+s)/2 and f = (1-s)/2 of RG."""
+    def build(S, R):
+        RG = gr.GroupRing(S.group, R)
+        one, s = RG.one(), RG.basis(S.s)
+        return (one + s).scale(R.half), (one - s).scale(R.half)
+    return build
+
+
 def group_from_permutations(perms):
     """Independent oracle: close a set of permutation tuples under
     composition and return the multiplication table group."""

@@ -79,6 +79,25 @@ def test_roundtrip_random_f5_q8xc3():
         assert cn.reassemble(form) == alpha
 
 
+def test_basis_elements_fold_to_their_slot():
+    # t_j a^i kappa (1 - s), built by group products, has the single entry 1
+    # at rows[j][i][kappa]; m/2 = 2 and |K| = 3 tell the two inner axes apart
+    S = cli.parse_group_spec("D2[k=2]xC3")
+    R = coeff.make_ring("F5")
+    RG = gr.GroupRing(S.group, R)
+    G = S.group
+    a = G.generators["a"]
+    oms = RG.one() - RG.basis(S.s)
+    slots = list(itertools.product(range(4), range(S.m // 2), range(S.ksize)))
+    for j, i, kappa in slots:
+        g = G.mul_idx(G.mul_idx(S.transversal[j], G.power(a, i)), S.K.members[kappa])
+        rows = cn.decompose_f(S, RG.basis(g) * oms).rows
+        assert [rows[jj][ii][kk] for jj, ii, kk in slots] == [
+            R.one if slot == (j, i, kappa) else R.zero for slot in slots
+        ]
+        assert len(rows) == 4 and all(len(row) == S.m // 2 for row in rows)
+
+
 def test_uniqueness_distinct_forms_distinct_elements(q8, f3):
     forms = set()
     elements = set()

@@ -304,6 +304,24 @@ def test_usage_error_exit_three(capsys):
     assert err.value.code == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lift", "--group", "C2", "--ring", "F3", "--budget", "5"],
+        ["decide", "--group", "Q8", "--ring", "F3", "--budget", "1"],
+        ["canonical", "--group", "Q8", "--ring", "F3", "--explain"],
+        ["brute", "--group", "Q8", "--ring", "F3", "--explain"],
+    ],
+    ids=["lift-budget", "decide-budget", "canonical-explain", "brute-explain"],
+)
+def test_flag_the_command_does_not_read_exit_three(capsys, argv):
+    # --budget belongs to the scans (brute, crossval), --explain to the
+    # commands that cite a gamma (decide, witness, crossval)
+    with pytest.raises(SystemExit) as err:
+        cli.main(argv)
+    assert err.value.code == 3
+
+
 # ---------------------------------------------------------------- determinism
 
 def _strip_timings(report: dict) -> dict:

@@ -156,18 +156,6 @@ def test_decide_agrees_with_theorem_b(spec, rank):
         assert cert in v.certificates
 
 
-def test_direct_sum_reduce(qq):
-    sc = decide.Verdict(Status.STAR_CLEAN)
-    nsc = decide.Verdict(Status.NOT_STAR_CLEAN)
-    unk = decide.Verdict(Status.UNKNOWN)
-    assert decide.direct_sum_reduce([sc, sc]).status is Status.STAR_CLEAN
-    assert decide.direct_sum_reduce([sc, nsc]).status is Status.NOT_STAR_CLEAN
-    assert decide.direct_sum_reduce([sc, unk]).status is Status.UNKNOWN
-    empty = decide.direct_sum_reduce([])
-    assert empty.status is Status.STAR_CLEAN
-    assert empty.reasons[0].data["degenerate"]
-
-
 # ---------------------------------------------------------------- brute force
 
 def test_brute_clean_f3_c2(f3):
@@ -377,13 +365,13 @@ def test_element_star_clean_one_yields_unit_plus_zero(q8, f3):
     assert dec.projection == RG.zero() and dec.unit == RG.one()
 
 
-def test_element_star_clean_central_idempotent(q8, f3):
+def test_element_star_clean_central_idempotent(q8, f3, central_ef):
     sigma = groups.canonical_involution(q8)
-    pair = gr.central_idempotents(q8, f3)
-    dec = decide.element_star_clean(pair.e, sigma)
+    e, _ = central_ef(q8, f3)
+    dec = decide.element_star_clean(e, sigma)
     assert dec is not None
     dec.validate(sigma)
-    assert dec.target() == pair.e
+    assert dec.target() == e
 
 
 def test_element_star_clean_above_table_cap():

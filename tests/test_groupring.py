@@ -77,7 +77,7 @@ def test_is_central_matches_all_h_definition(presentation, k, k2, abelian, f3, q
         RG = gr.GroupRing(G, R)
         # class sums are central; adding a non-central basis element breaks it
         for g in range(G.order):
-            cls = {G.conjugate(g, h) for h in range(G.order)}
+            cls = set(G.mul[G.mul[G.inverse, g], np.arange(G.order)].tolist())  # h^-1 g h
             class_sum = from_ints(RG, [1 if x in cls else 0 for x in range(G.order)])
             assert class_sum.is_central() and _central_by_all_h(class_sum)
             for alpha in (RG.basis(g), class_sum + RG.basis(g), class_sum.scale(R.from_int(2))):
@@ -131,18 +131,21 @@ def test_zero_one_projections(rq8_f3, sigma_q8):
     assert gr.is_projection(rq8_f3.one(), sigma_q8)
 
 
-def test_e_is_projection_x_is_not(q8, f3, rq8_f3, sigma_q8):
-    pair = gr.central_idempotents(q8, f3)
-    assert gr.is_projection(pair.e, sigma_q8)
+def test_e_is_projection_x_is_not(q8, f3, rq8_f3, sigma_q8, central_ef):
+    e, _ = central_ef(q8, f3)
+    assert gr.is_projection(e, sigma_q8)
     x = rq8_f3.basis(q8.group.generators["x"])
     assert not gr.is_idempotent(x)  # x^2 = s != x
 
 
-def test_central_idempotents_f3(q8, f3):
-    pair = gr.central_idempotents(q8, f3)
-    pair.validate()
-    assert pair.e.to_dict() == {"1": "2", "s": "2"}
-    assert pair.f.to_dict() == {"1": "2", "s": "1"}
+def test_central_idempotents_f3(q8, f3, rq8_f3, central_ef):
+    e, f = central_ef(q8, f3)
+    assert gr.is_idempotent(e) and gr.is_idempotent(f)
+    assert (e * f).is_zero() and (f * e).is_zero()
+    assert e + f == rq8_f3.one()
+    assert e.is_central() and f.is_central()
+    assert e.to_dict() == {"1": "2", "s": "2"}
+    assert f.to_dict() == {"1": "2", "s": "1"}
 
 
 # ---------------------------------------------------------------- units
@@ -162,9 +165,9 @@ def test_one_plus_s_is_not_a_unit(rq8_f3, q8):
     assert gr.unit_inverse(one_plus_s) is None
 
 
-def test_proper_idempotent_not_unit(q8, f3):
-    pair = gr.central_idempotents(q8, f3)
-    assert not gr.is_unit(pair.f)
+def test_proper_idempotent_not_unit(q8, f3, central_ef):
+    _, f = central_ef(q8, f3)
+    assert not gr.is_unit(f)
 
 
 @pytest.mark.parametrize(
@@ -342,38 +345,14 @@ def test_batch_convolve_slices_sums_that_would_overflow(q8):
 
 # ---------------------------------------------------------------- splitting
 
-def test_split_of_one(q8, f5):
-    pair = gr.central_idempotents(q8, f5)
-    parts = gr.split(gr.GroupRing(q8.group, f5).one(), pair)
-    assert parts.e_part == gr.GroupRing(parts.quotient_group, f5).one()
-    assert parts.f_part == pair.f
-
-
-def test_split_of_s_gives_minus_f(q8, f5):
+def test_f_annihilates_e_side(q8, f5, central_ef):
     RG = gr.GroupRing(q8.group, f5)
-    pair = gr.central_idempotents(q8, f5)
-    parts = gr.split(RG.basis(q8.s), pair)
-    assert parts.e_part == gr.GroupRing(parts.quotient_group, f5).one()
-    assert parts.f_part == -pair.f
-
-
-def test_split_roundtrip_random(q8, f5):
-    RG = gr.GroupRing(q8.group, f5)
-    pair = gr.central_idempotents(q8, f5)
-    rng = np.random.default_rng(5)
-    for _ in range(25):
-        alpha = RG.random_element(rng)
-        assert gr.split(alpha, pair).reassemble() == alpha
-
-
-def test_f_annihilates_e_side(q8, f5):
-    RG = gr.GroupRing(q8.group, f5)
-    pair = gr.central_idempotents(q8, f5)
+    e, f = central_ef(q8, f5)
     oms = RG.one() - RG.basis(q8.s)
-    assert (oms * pair.e).is_zero()
+    assert (oms * e).is_zero()
     rng = np.random.default_rng(6)
     alpha = RG.random_element(rng)
-    assert alpha * pair.f == alpha - alpha * pair.e
+    assert alpha * f == alpha - alpha * e
 
 
 # ---------------------------------------------------------------- enumeration
@@ -391,15 +370,14 @@ def test_f3_c2_enumeration_counts(f3):
     assert set(idems) == {RG.zero(), RG.one(), e, f}
 
 
-def test_projection_enumeration_symmetric_subspace(q8, f3, sigma_q8):
+def test_projection_enumeration_symmetric_subspace(q8, f3, sigma_q8, central_ef):
     RG = gr.GroupRing(q8.group, f3)
     rows, full = decide.projection_set(RG, sigma_q8, Budget())
     assert full
     projs = [RG.from_coeffs(f3.decode(int(c)) for c in row) for row in rows]
     assert len(set(projs)) == len(projs)
-    pair = gr.central_idempotents(q8, f3)
     pset = set(projs)
-    assert {RG.zero(), RG.one(), pair.e, pair.f} <= pset
+    assert {RG.zero(), RG.one(), *central_ef(q8, f3)} <= pset
     for p in projs:
         assert gr.is_projection(p, sigma_q8)
 

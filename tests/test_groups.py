@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 from starclean import groups
 from starclean.groups import Presentation as P
 from starclean.errors import CapacityError, InvalidParameterError
-from conftest import commutator_subgroup, is_closed, is_slc
+from conftest import commutator_subgroup, group_from_table, is_closed, is_slc
 
 
 # ---------------------------------------------------------------- abelian
@@ -85,6 +85,14 @@ _ALL_SMALL_PRESENTATIONS = [
 ]
 
 
+def _assert_index_layout(s):
+    """The layout canonical forms rely on: g*s = s*g is g XOR 1, and the
+    center is the leading index block."""
+    flip = np.arange(s.group.order) ^ 1
+    assert np.array_equal(s.group.mul[:, s.s], flip) and np.array_equal(s.group.mul[s.s], flip)
+    assert groups.center(s.group).members == tuple(range(s.zsize))
+
+
 @pytest.mark.parametrize("ptype,k,k2,k3", _ALL_SMALL_PRESENTATIONS)
 def test_presentation_invariants(ptype, k, k2, k3):
     s = groups.build_slc(ptype, k, k2, k3)
@@ -93,6 +101,7 @@ def test_presentation_invariants(ptype, k, k2, k3):
     assert is_slc(G)
     assert commutator_subgroup(G).members == (0, s.s)
     assert G.element_order(s.s) == 2
+    _assert_index_layout(s)
     # center is the leading index block and equals <a> x K
     assert groups.center(G).members == s.center.members == tuple(range(s.zsize))
     assert is_closed(s.center) and is_closed(s.K)
@@ -227,6 +236,7 @@ def test_random_presentations_are_slc(ptype, k, abelian):
     assert is_slc(s.group)
     assert commutator_subgroup(s.group).members == (0, s.s)
     assert groups.canonical_involution(s).check()
+    _assert_index_layout(s)
 
 
 def test_element_orders_vectorised_matches_scalar(q8):
@@ -235,6 +245,6 @@ def test_element_orders_vectorised_matches_scalar(q8):
 
 
 def test_quotient_by_s_is_klein(q8):
-    Q, _ = groups.quotient_group(q8.group, groups.Subgroup(q8.group, (0, q8.s)))
+    Q = group_from_table(q8.group.mul[::2, ::2] // 2)  # cosets {2t, 2t+1}; validated
     assert Q.order == 4
     assert all(Q.mul_idx(a, a) == Q.identity for a in Q.elements())
