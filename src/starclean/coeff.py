@@ -611,7 +611,7 @@ class CyclotomicField(CoefficientRing):
             self.zeta = tuple(Fraction(1) if i == 1 else Fraction(0) for i in range(self.degree))
 
     def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(x + y if y else x for x, y in zip(a, b))
 
     def neg(self, a):
         return tuple(-x for x in a)
@@ -619,14 +619,13 @@ class CyclotomicField(CoefficientRing):
     def mul(self, a, b):
         n = self.degree
         conv = [Fraction(0)] * (2 * n - 1)
+        right = [(j, bj) for j, bj in enumerate(b) if bj]
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
+                for j, bj in right:
+                    conv[i + j] += ai * bj
         out = conv[:n]
-        for i in range(n - 1):
-            hi = conv[n + i]
+        for i, hi in enumerate(conv[n:]):
             if hi:
                 row = self._red_rows[i]
                 for j in range(n):
@@ -635,6 +634,9 @@ class CyclotomicField(CoefficientRing):
 
     def from_int(self, value):
         return tuple(Fraction(value) if i == 0 else Fraction(0) for i in range(self.degree))
+
+    def is_zero(self, a):
+        return not any(a)
 
     def is_unit(self, a):
         return any(a)

@@ -25,16 +25,22 @@ from .errors import BudgetError, CarrierMismatchError, PreconditionError
 from .groups import FiniteGroup, InvolutionMap
 
 class GroupRingElement:
-    """An element of RG as an immutable dense coefficient vector."""
+    """An element of RG as an immutable dense coefficient vector with its
+    exact support: the ascending indices of its nonzero coefficients.
+    Arithmetic, comparison and the zero test run over supports only."""
 
-    __slots__ = ("group", "ring", "coeffs", "_hash")
+    __slots__ = ("group", "ring", "coeffs", "_support", "_hash")
 
-    def __init__(self, group: FiniteGroup, ring: CoefficientRing, coeffs):
+    def __init__(self, group: FiniteGroup, ring: CoefficientRing, coeffs, support=None):
         self.group = group
         self.ring = ring
         self.coeffs = tuple(coeffs)
         if len(self.coeffs) != group.order:
             raise CarrierMismatchError("coefficient vector length != group order")
+        if support is None:
+            is_zero = ring.is_zero
+            support = tuple(g for g, c in enumerate(self.coeffs) if not is_zero(c))
+        self._support = support
         self._hash = None
 
     # -- plumbing ------------------------------------------------------------
@@ -42,13 +48,29 @@ class GroupRingElement:
         if self.group is not other.group or self.ring != other.ring:
             raise CarrierMismatchError("elements live over different carriers")
 
+    def _from_terms(self, terms: dict) -> "GroupRingElement":
+        """The element with coefficient terms[g] at each g; terms that
+        cancelled to zero leave the support."""
+        R = self.ring
+        out = [R.zero] * self.group.order
+        support = tuple(g for g in sorted(terms) if not R.is_zero(terms[g]))
+        for g in support:
+            out[g] = terms[g]
+        return GroupRingElement(self.group, R, out, support)
+
+    def _terms(self) -> dict:
+        c = self.coeffs
+        return {g: c[g] for g in self._support}
+
     def __eq__(self, other):
         if not isinstance(other, GroupRingElement):
             return NotImplemented
+        a, b = self.coeffs, other.coeffs
         return (
             self.group is other.group
             and self.ring == other.ring
-            and self.coeffs == other.coeffs
+            and self._support == other._support
+            and all(a[g] == b[g] for g in self._support)
         )
 
     def __hash__(self):
@@ -62,11 +84,9 @@ class GroupRingElement:
     def to_string(self) -> str:
         R = self.ring
         terms = []
-        for g, c in enumerate(self.coeffs):
-            if R.is_zero(c):
-                continue
+        for g in self._support:
             name = self.group.names[g]
-            cs = R.fmt(c)
+            cs = R.fmt(self.coeffs[g])
             if name == "1":
                 terms.append(cs)
             elif cs == "1":
@@ -77,51 +97,47 @@ class GroupRingElement:
 
     def to_dict(self) -> dict[str, str]:
         """JSON form {element_name: coefficient_string}, zeros omitted."""
-        R = self.ring
-        return {
-            self.group.names[g]: R.fmt(c)
-            for g, c in enumerate(self.coeffs)
-            if not R.is_zero(c)
-        }
+        fmt, names, c = self.ring.fmt, self.group.names, self.coeffs
+        return {names[g]: fmt(c[g]) for g in self._support}
 
     # -- arithmetic ------------------------------------------------------------
     def __add__(self, other):
         self._check(other)
         R = self.ring
-        return GroupRingElement(
-            self.group, R, (R.add(a, b) for a, b in zip(self.coeffs, other.coeffs))
-        )
+        terms = self._terms()
+        for h, c in other._terms().items():
+            terms[h] = R.add(terms[h], c) if h in terms else c
+        return self._from_terms(terms)
 
     def __sub__(self, other):
         self._check(other)
         R = self.ring
-        return GroupRingElement(
-            self.group, R, (R.sub(a, b) for a, b in zip(self.coeffs, other.coeffs))
-        )
+        terms = self._terms()
+        for h, c in other._terms().items():
+            terms[h] = R.sub(terms[h], c) if h in terms else R.neg(c)
+        return self._from_terms(terms)
 
     def __neg__(self):
         R = self.ring
-        return GroupRingElement(self.group, R, (R.neg(a) for a in self.coeffs))
+        return self._from_terms({g: R.neg(c) for g, c in self._terms().items()})
 
     def __mul__(self, other):
         self._check(other)
         R = self.ring
-        mul = self.group.mul
-        is_zero = R.is_zero
-        out = [R.zero] * self.group.order
-        right = [(h, ch) for h, ch in enumerate(other.coeffs) if not is_zero(ch)]
-        for g, cg in enumerate(self.coeffs):
-            if is_zero(cg):
-                continue
-            row = mul[g]
-            for h, ch in right:
-                k = int(row[h])
-                out[k] = R.add(out[k], R.mul(cg, ch))
-        return GroupRingElement(self.group, R, out)
+        a, b = self.coeffs, other.coeffs
+        left, right = self._support, other._support
+        terms: dict = {}
+        if left and right:
+            for g, row in zip(left, self.group.mul.take(left, 0).take(right, 1).tolist()):
+                cg = a[g]
+                for h, k in zip(right, row):
+                    t = R.mul(cg, b[h])
+                    terms[k] = R.add(terms[k], t) if k in terms else t
+        return self._from_terms(terms)
 
     def scale(self, r: Payload) -> "GroupRingElement":
         R = self.ring
-        return GroupRingElement(self.group, R, (R.mul(r, c) for c in self.coeffs))
+        return self._from_terms({g: R.mul(r, c) for g, c in self._terms().items()})
 
     def pow_int(self, e: int) -> "GroupRingElement":
         if e < 0:
@@ -137,12 +153,10 @@ class GroupRingElement:
         return out
 
     def support(self) -> tuple[int, ...]:
-        R = self.ring
-        return tuple(g for g, c in enumerate(self.coeffs) if not R.is_zero(c))
+        return self._support
 
     def is_zero(self) -> bool:
-        R = self.ring
-        return all(R.is_zero(c) for c in self.coeffs)
+        return not self._support
 
     def is_central(self) -> bool:
         """Commutes with every group element basis vector, i.e. has one
@@ -168,16 +182,16 @@ class GroupRing:
     ring: CoefficientRing
 
     def zero(self) -> GroupRingElement:
-        return GroupRingElement(self.group, self.ring, [self.ring.zero] * self.group.order)
+        return GroupRingElement(self.group, self.ring, [self.ring.zero] * self.group.order, ())
 
     def one(self) -> GroupRingElement:
         return self.basis(self.group.identity)
 
     def basis(self, g: int) -> GroupRingElement:
         R = self.ring
-        return GroupRingElement(
-            self.group, R, (R.one if i == g else R.zero for i in range(self.group.order))
-        )
+        coeffs = [R.zero] * self.group.order
+        coeffs[g] = R.one
+        return GroupRingElement(self.group, R, coeffs, (int(g),))
 
     def from_coeffs(self, coeffs) -> GroupRingElement:
         return GroupRingElement(self.group, self.ring, coeffs)

@@ -3,7 +3,12 @@ SLC presentations, direct products, structural data, and involutions.
 
 Elements are indices 0 .. order-1.  For SLC groups built from a presentation
 the index encodes the normal form t_j * a^i * kappa * s^delta, ordered
-lexicographically on (j, i, kappa, delta); consequently the center occupies
+lexicographically on (j, i, kappa, delta).  kappa = kappa_B + |B| kappa_A
+splits into the digit kappa_B of B = <b> x <c> (b least significant) and
+the index kappa_A of the abelian factor A (its first factor least
+significant), so the digit order is (j, i, kappa_A, kappa_B, delta), most
+significant first, and build_slc lays A's table over the core's in one
+outer sum.  Consequently the center occupies
 indices [0, |Z|), the element s is index 1, the transversal {1, x, y, xy}
 sits at indices {0, |Z|, 2|Z|, 3|Z|}, and since s is central of order 2 and
 delta is the lowest digit, g*s = s*g has index g XOR 1: the s-cosets are the
@@ -14,6 +19,7 @@ All structures are immutable after construction and safe to share.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
@@ -193,6 +199,30 @@ def _check_capacity(order: int) -> None:
         raise CapacityError(f"group order {order} exceeds cap {DEFAULT_ORDER_CAP}")
 
 
+def _abelian_table(factors) -> tuple[np.ndarray, np.ndarray]:
+    """Table and inverses of the product of cyclic groups of these orders,
+    indexed by the mixed-radix exponent tuple with the first factor least
+    significant: one broadcast outer sum per factor."""
+    table = np.zeros((1, 1), dtype=np.int32)
+    inverse = np.zeros(1, dtype=np.int32)
+    for f in factors:
+        n, e = table.shape[0], np.arange(f, dtype=np.int32)
+        cyc = (e[:, None] + e) % f * n
+        table = (cyc[:, None, :, None] + table[None, :, None, :]).reshape(f * n, f * n)
+        inverse = ((-e % f * n)[:, None] + inverse).ravel()
+    return table, inverse
+
+
+def _power_tokens(factors, labels) -> list[str]:
+    """Names of the exponent tuples in the same mixed radix, each factor's
+    power followed by '*': '' for the identity, 'g1^2*g2*', ..."""
+    tokens = [""]
+    for f, gen in zip(factors, labels):
+        powers = [""] + [f"{gen}*" if e == 1 else f"{gen}^{e}*" for e in range(1, f)]
+        tokens = [t + p for p in powers for t in tokens]
+    return tokens
+
+
 def build_abelian(invariant_factors: Iterable[int]) -> FiniteGroup:
     """Direct product of cyclic groups of the given orders.
 
@@ -203,57 +233,53 @@ def build_abelian(invariant_factors: Iterable[int]) -> FiniteGroup:
     if any(f < 1 for f in factors):
         raise PreconditionError("cyclic factors must be >= 1")
     factors = [f for f in factors if f > 1]
-    order = 1
-    for f in factors:
-        order *= f
-    _check_capacity(order)
-
-    idx = np.arange(order)
-    digits = []
-    rem = idx
-    for f in factors:
-        digits.append(rem % f)
-        rem = rem // f
-    table = np.zeros((order, order), dtype=np.int64)
-    stride = 1
-    for d, f in zip(digits, factors):
-        table += ((d[:, None] + d[None, :]) % f) * stride
-        stride *= f
-    inv = np.zeros(order, dtype=np.int64)
-    stride = 1
-    for d, f in zip(digits, factors):
-        inv += ((-d) % f) * stride
-        stride *= f
-
-    names = []
-    for i in range(order):
-        parts = []
-        rem = i
-        for pos, f in enumerate(factors):
-            rem, e = rem // f, rem % f
-            if e:
-                gen = f"c{pos + 1}"
-                parts.append(gen if e == 1 else f"{gen}^{e}")
-        names.append("*".join(parts) if parts else "1")
-
-    gens = {}
-    stride = 1
-    for pos, f in enumerate(factors):
-        gens[f"c{pos + 1}"] = stride
-        stride *= f
-
+    _check_capacity(math.prod(factors))
+    table, inverse = _abelian_table(factors)
+    labels = [f"c{pos + 1}" for pos in range(len(factors))]
+    strides = np.cumprod([1] + factors[:-1]).tolist()
     return FiniteGroup(
-        order=order,
-        mul=table.astype(np.int32),
-        inverse=inv.astype(np.int32),
+        order=table.shape[0],
+        mul=table,
+        inverse=inverse,
         identity=0,
-        names=tuple(names),
-        generators=gens,
+        names=tuple(t[:-1] or "1" for t in _power_tokens(factors, labels)),
+        generators=dict(zip(labels, strides)),
     )
 
 
 def cyclic_group(n: int) -> FiniteGroup:
     return build_abelian([n])
+
+
+def _core_table(ptype: Presentation, m: int, order_b: int, order_c: int):
+    """Table and inverses of the presentation core <x, y, a, b, c> (b and c
+    of order 1 where unused).  Element t_j z, with t_j = x^(j&1) y^(j>>1)
+    and z in Z = <a> x <b> x <c>, has index j |Z| + ((i |B| + kappa_B) * 2
+    + delta) for a-exponent i + delta m/2 and kappa_B = b-exponent +
+    order_b * c-exponent.
+
+    t_j z * t_j' z' = t_(j^j') z z' w(j, j'), where the central word w
+    collects the carries x^2, y^2 (`_X2`, `_Y2`) and an s for moving y past
+    x; so each of the 16 (j, j') blocks is Z's table shifted by w(j, j'),
+    and (t_j z)^-1 = t_j (z w(j, j))^-1.
+    """
+    half, nZ = m // 2, m * order_b * order_c
+    Zt, Zinv = _abelian_table([m, order_b, order_c])
+    u = np.arange(nZ)
+    lay = (u % m % half * (nZ // m) + u // m) * 2 + u % m // half  # Zt's index -> layout
+    Z = np.empty_like(Zt)
+    Z[np.ix_(lay, lay)] = lay[Zt]
+    inv = np.empty_like(Zinv)
+    inv[lay] = lay[Zinv]
+
+    j = np.arange(4, dtype=np.int32)
+    a1, b1, a2, b2 = j[:, None] & 1, j[:, None] >> 1, j & 1, j >> 1
+    w = [(b1 & a2) * sw + (a1 & a2) * x2 + (b1 & b2) * y2
+         for sw, x2, y2 in zip((half, 0, 0), _X2[ptype], _Y2[ptype])]
+    W = lay[w[0] % m + m * (w[1] % order_b + order_b * (w[2] % order_c))]  # (4, 4)
+    table = Z[Z[None, :, None, :], W[:, None, :, None]] + (j[:, None] ^ j)[:, None, :, None] * nZ
+    inverse = inv[Z[u, W.diagonal()[:, None]]] + j[:, None] * nZ
+    return table.reshape(4 * nZ, 4 * nZ), inverse.ravel()
 
 
 def build_slc(
@@ -292,125 +318,49 @@ def build_slc(
     m = 2**k
     order_b = 2**k2 if uses_b else 1
     order_c = 2**k3 if uses_c else 1
-    half_m = m // 2
-
-    # K radices: b, c, then abelian factors; kappa is little-endian mixed radix
-    k_radices = []
-    k_labels = []
-    if uses_b:
-        k_radices.append(order_b)
-        k_labels.append("b")
-    if uses_c:
-        k_radices.append(order_c)
-        k_labels.append("c")
-    for pos, f in enumerate(abelian):
-        k_radices.append(f)
-        k_labels.append(f"g{pos + 1}")
-    ksize = 1
-    for f in k_radices:
-        ksize *= f
+    ksize = order_b * order_c * math.prod(abelian)
     order = 4 * m * ksize
     _check_capacity(order)
 
-    # index = ((j * half_m + i) * ksize + kappa) * 2 + delta, a-exponent = i + half_m*delta
-    idx = np.arange(order)
-    delta = idx % 2
-    q = idx // 2
-    kappa = q % ksize
-    q2 = q // ksize
-    ii = q2 % half_m
-    jj = q2 // half_m
-    ea = ii + half_m * delta
-    alpha = jj & 1
-    beta = jj >> 1
+    # core index hi * L + lo, with hi = j*m/2 + i and lo = kappa_B*2 + delta;
+    # kappa_A slots in between: index = (hi * |A| + kappa_A) * L + lo, and the
+    # table is one outer sum of the two tables, computed along whole rows
+    A, A_inv = _abelian_table(abelian)
+    L, nA = 2 * order_b * order_c, A.shape[0]
+    core, core_inv = (c // L * (nA * L) + c % L for c in _core_table(ptype, m, order_b, order_c))
+    H = core.shape[0] // L
+    core_rows = np.broadcast_to(core.reshape(H, 1, L, H, 1, L), (H, 1, L, H, nA, L))
+    A_rows = np.broadcast_to((A * L).reshape(nA, 1, nA, 1), (nA, H, nA, L))
+    table = core_rows.reshape(H, 1, L, order) + A_rows.reshape(nA, 1, order)
+    inverse = core_inv.reshape(H, 1, L) + (A_inv * L).reshape(1, nA, 1)
 
-    kd = []
-    rem = kappa
-    for f in k_radices:
-        kd.append(rem % f)
-        rem = rem // f
-
-    x2a, x2b, x2c = _X2[ptype]
-    y2a, y2b, y2c = _Y2[ptype]
-    bpos = k_labels.index("b") if uses_b else None
-    cpos = k_labels.index("c") if uses_c else None
-
-    table = np.zeros((order, order), dtype=np.int32)
-    chunk = max(1, (1 << 22) // order)
-    for start in range(0, order, chunk):
-        stop = min(order, start + chunk)
-        aA = alpha[start:stop, None]
-        bA = beta[start:stop, None]
-        aB = alpha[None, :]
-        bB = beta[None, :]
-        carry_x = aA & aB
-        carry_y = bA & bB
-        s_extra = bA & aB  # moving y^beta past x^alpha' costs s each swap
-        ea_c = ea[start:stop, None] + ea[None, :] + s_extra * half_m
-        ea_c = ea_c + carry_x * x2a + carry_y * y2a
-        eb_c = None
-        if uses_b:
-            eb_c = kd[bpos][start:stop, None] + kd[bpos][None, :]
-            eb_c = (eb_c + carry_x * x2b + carry_y * y2b) % order_b
-        ec_c = None
-        if uses_c:
-            ec_c = kd[cpos][start:stop, None] + kd[cpos][None, :]
-            ec_c = (ec_c + carry_x * x2c + carry_y * y2c) % order_c
-        ea_c = ea_c % m
-        alpha_c = aA ^ aB
-        beta_c = bA ^ bB
-
-        kap_c = np.zeros_like(ea_c)
-        stride = 1
-        for pos, f in enumerate(k_radices):
-            if pos == bpos:
-                dc = eb_c
-            elif pos == cpos:
-                dc = ec_c
-            else:
-                dc = (kd[pos][start:stop, None] + kd[pos][None, :]) % f
-            kap_c += dc * stride
-            stride *= f
-
-        i_c = ea_c % half_m
-        d_c = ea_c // half_m
-        j_c = alpha_c + 2 * beta_c
-        table[start:stop] = (((j_c * half_m + i_c) * ksize + kap_c) * 2 + d_c).astype(np.int32)
-
-    inverse = np.argmax(table == 0, axis=1).astype(np.int32)
-
-    names = []
-    for g in range(order):
-        parts = []
-        if alpha[g]:
-            parts.append("x")
-        if beta[g]:
-            parts.append("y")
-        if ii[g]:
-            parts.append("a" if ii[g] == 1 else f"a^{ii[g]}")
-        rem = kappa[g]
-        for pos, f in enumerate(k_radices):
-            rem, e = rem // f, rem % f
-            if e:
-                parts.append(k_labels[pos] if e == 1 else f"{k_labels[pos]}^{e}")
-        if delta[g]:
-            parts.append("s")
-        names.append("*".join(parts) if parts else "1")
+    a_labels = [f"g{pos + 1}" for pos in range(len(abelian))]
+    k_labels = ["b", "c"][: uses_b + uses_c] + a_labels
+    a_powers = _power_tokens([m // 2], ["a"])
+    head = [xt + yt + at for yt in ("", "y*") for xt in ("", "x*") for at in a_powers]
+    A_names = _power_tokens(abelian, a_labels)
+    B_names = _power_tokens([order_b, order_c], ["b", "c"])
+    names = tuple(
+        (h + b + a + s)[:-1] or "1"
+        for h in head
+        for a in A_names
+        for b in B_names
+        for s in ("", "s*")
+    )
 
     zsize = m * ksize
     gens = {"x": zsize, "y": 2 * zsize, "s": 1}
     gens["a"] = 1 if m == 2 else 2 * ksize
-    stride = 1
-    for pos, f in enumerate(k_radices):
-        gens[k_labels[pos]] = 2 * stride
-        stride *= f
+    k_radices = [f for f in (order_b, order_c) if f > 1] + list(abelian)
+    for label, stride in zip(k_labels, np.cumprod([1] + k_radices[:-1]).tolist()):
+        gens[label] = 2 * stride
 
     group = FiniteGroup(
         order=order,
-        mul=table,
-        inverse=inverse,
+        mul=table.reshape(order, order),
+        inverse=inverse.reshape(order),
         identity=0,
-        names=tuple(names),
+        names=names,
         generators=gens,
     )
 

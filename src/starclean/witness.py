@@ -271,12 +271,15 @@ def generate_witness(S: SLCStructure, R: CoefficientRing, z_budget: int = DEFAUL
         gamma, tau = xy * RG.basis(a_pow), one
         data["a_exponent"] = (S.m - 4) // 4
     else:
-        # G = Q8 x A with A = K
-        g4 = None
-        for member in S.K.members:
-            if G.element_order(member) == 4:
-                g4 = member
-                break
+        # G = Q8 x A with A = K: member 2t of K has the mixed-radix exponents
+        # of t over A's factors, so its order is the lcm of f / gcd(e_f, f)
+        t, k_orders = np.arange(S.ksize), np.ones(S.ksize, dtype=np.int64)
+        for f in S.abelian:
+            k_orders = np.lcm(k_orders, f // np.gcd(t % f, f))
+            t //= f
+        orders, firsts = np.unique(k_orders, return_index=True)
+        least_of_order = {int(o): S.K.members[i] for o, i in zip(orders, firsts)}
+        g4 = least_of_order.get(4)
         if g4 is not None:
             case = CASE_ORDER4
             g_el = RG.basis(g4)
@@ -285,20 +288,16 @@ def generate_witness(S: SLCStructure, R: CoefficientRing, z_budget: int = DEFAUL
             data["g"] = G.names[g4]
             pieces["tau"] = tau
         else:
-            k_orders = sorted({G.element_order(member) for member in S.K.members})
             excluded = None
-            for p in sorted(
-                {q for o in k_orders for q, _ in numtheory.factorize(o) if q % 2 == 1}
-            ):
+            odd_primes = {q for o in least_of_order for q, _ in numtheory.factorize(o) if q % 2}
+            for p in sorted(odd_primes):
                 ordp = numtheory.multiplicative_order(2, p)
                 if ordp % 2 == 0:
                     excluded = (p, ordp // 2)
                     break
             if excluded is not None:
                 p, n = excluded
-                g_idx = min(
-                    member for member in S.K.members if G.element_order(member) == p
-                )
+                g_idx = least_of_order[p]
                 case = CASE_EXCLUDED_PRIME
                 g_el = RG.basis(g_idx)
                 alpha, beta = annihilator_pair(g_el, p, n)

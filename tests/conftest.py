@@ -1,8 +1,9 @@
 """Shared fixtures, plus the oracles that the runtime does not need:
-exhaustive enumeration of RG, the per-group-element convolution, the
-element-by-element brute-force scan, Theorem B's biconditional, the
-closed-form involution on (RG)f, the problem element of a witness, and the
-group-theoretic checks on built groups."""
+exhaustive enumeration of RG, dense group-ring arithmetic over all |G|
+coefficients, the per-group-element convolution, the element-by-element
+brute-force scan, Theorem B's biconditional, the closed-form involution on
+(RG)f, the problem element of a witness, the single-formula SLC table, and
+the group-theoretic checks on built groups."""
 
 import itertools
 
@@ -12,7 +13,12 @@ from hypothesis import settings
 
 from starclean import canonical as cn, coeff, groups, groupring as gr
 from starclean.decide import BruteReport, Reason, Status, Verdict
-from starclean.errors import BudgetError, PreconditionError
+from starclean.errors import (
+    BudgetError,
+    CapacityError,
+    InvalidParameterError,
+    PreconditionError,
+)
 
 settings.register_profile("suite", deadline=None, max_examples=30)
 settings.load_profile("suite")
@@ -173,6 +179,42 @@ def enumerate_elements(RG, budget=1 << 23):
         yield RG.from_coeffs(R.decode(c) for c in reversed(codes))
 
 
+def reference_add(a, b):
+    """a + b over all |G| coefficients."""
+    R = a.ring
+    return gr.GroupRingElement(a.group, R, (R.add(x, y) for x, y in zip(a.coeffs, b.coeffs)))
+
+
+def reference_sub(a, b):
+    """a - b over all |G| coefficients."""
+    R = a.ring
+    return gr.GroupRingElement(a.group, R, (R.sub(x, y) for x, y in zip(a.coeffs, b.coeffs)))
+
+
+def reference_scale(a, r):
+    """r * a over all |G| coefficients."""
+    R = a.ring
+    return gr.GroupRingElement(a.group, R, (R.mul(r, c) for c in a.coeffs))
+
+
+def reference_mul(a, b):
+    """a * b: every nonzero coefficient of a against every nonzero
+    coefficient of b, accumulated into a dense vector."""
+    R = a.ring
+    mul = a.group.mul
+    is_zero = R.is_zero
+    out = [R.zero] * a.group.order
+    right = [(h, ch) for h, ch in enumerate(b.coeffs) if not is_zero(ch)]
+    for g, cg in enumerate(a.coeffs):
+        if is_zero(cg):
+            continue
+        row = mul[g]
+        for h, ch in right:
+            k = int(row[h])
+            out[k] = R.add(out[k], R.mul(cg, ch))
+    return gr.GroupRingElement(a.group, R, out)
+
+
 def reference_convolve(RG, A, B):
     """Row-wise products of code rows, one modular update per group element
     g: out[:, g h] += A[:, g] * B[:, h] by the ring's `vec` add and mul."""
@@ -182,6 +224,183 @@ def reference_convolve(RG, A, B):
         perm = RG.group.mul[g]
         out[:, perm] = vec.add(out[:, perm], vec.mul(A[:, g, None], B))
     return out
+
+
+# which central generator x^2 and y^2 land on: (a-, b-, c-exponent)
+_REF_X2 = {"D1": (0, 0, 0), "D2": (1, 0, 0), "D3": (0, 0, 0), "D4": (1, 0, 0), "D5": (0, 1, 0)}
+_REF_Y2 = {"D1": (0, 0, 0), "D2": (1, 0, 0), "D3": (0, 1, 0), "D4": (0, 1, 0), "D5": (0, 0, 1)}
+
+
+def reference_build_slc(ptype, k, k2=None, k3=None, abelian=()):
+    """`groups.build_slc` by one presentation formula over all of G x G,
+    abelian digits included, with inverses found by scanning the table and
+    names spelled element by element.
+
+    The defining relations: [x, y] = s = a^(m/2) with everything else
+    central; x^2 and y^2 land on the central generator dictated by the
+    presentation (1, a, b, or c).  K is the complement of <a> in the
+    center: A for D1/D2, <b> x A for D3/D4, <b> x <c> x A for D5.
+    """
+    ptype = groups.Presentation(ptype)
+    if k < 1:
+        raise InvalidParameterError("k must be >= 1")
+    uses_b = ptype in (groups.Presentation.D3, groups.Presentation.D4, groups.Presentation.D5)
+    uses_c = ptype is groups.Presentation.D5
+    if uses_b and (k2 is None or k2 < 1):
+        raise InvalidParameterError(f"{ptype.value} requires k2 >= 1")
+    if uses_c and (k3 is None or k3 < 1):
+        raise InvalidParameterError(f"{ptype.value} requires k3 >= 1")
+    if not uses_b and k2 is not None:
+        raise InvalidParameterError(f"{ptype.value} does not use k2")
+    if not uses_c and k3 is not None:
+        raise InvalidParameterError(f"{ptype.value} does not use k3")
+
+    abelian = tuple(int(f) for f in abelian)
+    if any(f < 1 for f in abelian):
+        raise PreconditionError("cyclic factors must be >= 1")
+    abelian = tuple(f for f in abelian if f > 1)
+
+    m = 2**k
+    order_b = 2**k2 if uses_b else 1
+    order_c = 2**k3 if uses_c else 1
+    half_m = m // 2
+
+    # K radices: b, c, then abelian factors; kappa is little-endian mixed radix
+    k_radices = []
+    k_labels = []
+    if uses_b:
+        k_radices.append(order_b)
+        k_labels.append("b")
+    if uses_c:
+        k_radices.append(order_c)
+        k_labels.append("c")
+    for pos, f in enumerate(abelian):
+        k_radices.append(f)
+        k_labels.append(f"g{pos + 1}")
+    ksize = 1
+    for f in k_radices:
+        ksize *= f
+    order = 4 * m * ksize
+    if order > groups.DEFAULT_ORDER_CAP:
+        raise CapacityError(f"group order {order} exceeds cap {groups.DEFAULT_ORDER_CAP}")
+
+    # index = ((j * half_m + i) * ksize + kappa) * 2 + delta, a-exponent = i + half_m*delta
+    idx = np.arange(order)
+    delta = idx % 2
+    q = idx // 2
+    kappa = q % ksize
+    q2 = q // ksize
+    ii = q2 % half_m
+    jj = q2 // half_m
+    ea = ii + half_m * delta
+    alpha = jj & 1
+    beta = jj >> 1
+
+    kd = []
+    rem = kappa
+    for f in k_radices:
+        kd.append(rem % f)
+        rem = rem // f
+
+    x2a, x2b, x2c = _REF_X2[ptype.value]
+    y2a, y2b, y2c = _REF_Y2[ptype.value]
+    bpos = k_labels.index("b") if uses_b else None
+    cpos = k_labels.index("c") if uses_c else None
+
+    table = np.zeros((order, order), dtype=np.int32)
+    chunk = max(1, (1 << 22) // order)
+    for start in range(0, order, chunk):
+        stop = min(order, start + chunk)
+        aA = alpha[start:stop, None]
+        bA = beta[start:stop, None]
+        aB = alpha[None, :]
+        bB = beta[None, :]
+        carry_x = aA & aB
+        carry_y = bA & bB
+        s_extra = bA & aB  # moving y^beta past x^alpha' costs s each swap
+        ea_c = ea[start:stop, None] + ea[None, :] + s_extra * half_m
+        ea_c = ea_c + carry_x * x2a + carry_y * y2a
+        eb_c = None
+        if uses_b:
+            eb_c = kd[bpos][start:stop, None] + kd[bpos][None, :]
+            eb_c = (eb_c + carry_x * x2b + carry_y * y2b) % order_b
+        ec_c = None
+        if uses_c:
+            ec_c = kd[cpos][start:stop, None] + kd[cpos][None, :]
+            ec_c = (ec_c + carry_x * x2c + carry_y * y2c) % order_c
+        ea_c = ea_c % m
+        alpha_c = aA ^ aB
+        beta_c = bA ^ bB
+
+        kap_c = np.zeros_like(ea_c)
+        stride = 1
+        for pos, f in enumerate(k_radices):
+            if pos == bpos:
+                dc = eb_c
+            elif pos == cpos:
+                dc = ec_c
+            else:
+                dc = (kd[pos][start:stop, None] + kd[pos][None, :]) % f
+            kap_c += dc * stride
+            stride *= f
+
+        i_c = ea_c % half_m
+        d_c = ea_c // half_m
+        j_c = alpha_c + 2 * beta_c
+        table[start:stop] = (((j_c * half_m + i_c) * ksize + kap_c) * 2 + d_c).astype(np.int32)
+
+    inverse = np.argmax(table == 0, axis=1).astype(np.int32)
+
+    names = []
+    for g in range(order):
+        parts = []
+        if alpha[g]:
+            parts.append("x")
+        if beta[g]:
+            parts.append("y")
+        if ii[g]:
+            parts.append("a" if ii[g] == 1 else f"a^{ii[g]}")
+        rem = kappa[g]
+        for pos, f in enumerate(k_radices):
+            rem, e = rem // f, rem % f
+            if e:
+                parts.append(k_labels[pos] if e == 1 else f"{k_labels[pos]}^{e}")
+        if delta[g]:
+            parts.append("s")
+        names.append("*".join(parts) if parts else "1")
+
+    zsize = m * ksize
+    gens = {"x": zsize, "y": 2 * zsize, "s": 1}
+    gens["a"] = 1 if m == 2 else 2 * ksize
+    stride = 1
+    for pos, f in enumerate(k_radices):
+        gens[k_labels[pos]] = 2 * stride
+        stride *= f
+
+    group = groups.FiniteGroup(
+        order=order,
+        mul=table,
+        inverse=inverse,
+        identity=0,
+        names=tuple(names),
+        generators=gens,
+    )
+
+    center_sub = groups.Subgroup(group, tuple(range(zsize)))
+    k_sub = groups.Subgroup(group, tuple(2 * t for t in range(ksize)))
+    return groups.SLCStructure(
+        group=group,
+        ptype=ptype,
+        k=k,
+        k2=k2 if uses_b else None,
+        k3=k3 if uses_c else None,
+        abelian=abelian,
+        m=m,
+        s=1,
+        center=center_sub,
+        K=k_sub,
+        transversal=(0, zsize, 2 * zsize, 3 * zsize),
+    )
 
 
 def reference_stream(RG, budget):

@@ -1,4 +1,6 @@
+import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +9,15 @@ from hypothesis import given, strategies as st
 from starclean import _linalg, cli, coeff, decide, groups, groupring as gr
 from starclean.decide import Budget
 from starclean.errors import BudgetError, CarrierMismatchError
-from conftest import enumerate_elements, from_ints, reference_convolve
+from conftest import (
+    enumerate_elements,
+    from_ints,
+    reference_add,
+    reference_convolve,
+    reference_mul,
+    reference_scale,
+    reference_sub,
+)
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +60,109 @@ def test_carrier_mismatch_raises(rq8_f3, f5, q8):
     other = gr.GroupRing(q8.group, f5)
     with pytest.raises(CarrierMismatchError):
         rq8_f3.one() + other.one()
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_carrier(group, ring):
+    G = cli.parse_group_spec(group)
+    return gr.GroupRing(getattr(G, "group", G), coeff.make_ring(ring))
+
+
+@st.composite
+def _payloads(draw, R, small=False):
+    """A ring element: a code over a finite ring; over Q a small fraction;
+    over Q(zeta_d) a coordinate tuple, mostly zeros.  With `small`, an
+    integer in {-2, ..., 2}."""
+    if small:
+        return R.from_int(draw(st.integers(-2, 2)))
+    if R.order is not None:
+        return R.decode(draw(st.integers(0, R.order - 1)))
+    q = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    if isinstance(R, coeff.RationalField):
+        return draw(q)
+    return tuple(draw(st.one_of(st.just(Fraction(0)), q)) for _ in range(R.degree))
+
+
+@st.composite
+def _group_ring_elements(draw, RG):
+    """Sparse (at most 3 terms, arbitrary payloads), dense (every coefficient
+    drawn, small integers) or cancelling (some element x minus a copy of it
+    with one term changed, so that all other terms cancel)."""
+    R, n = RG.ring, RG.group.order
+    kind = draw(st.sampled_from(["sparse", "dense", "cancelling"]))
+    if kind == "dense":
+        return RG.from_coeffs(draw(_payloads(R, small=True)) for _ in range(n))
+    coeffs = [R.zero] * n
+    for g in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        coeffs[g] = draw(_payloads(R))
+    x = RG.from_coeffs(coeffs)
+    if kind == "sparse":
+        return x
+    coeffs[draw(st.integers(0, n - 1))] = draw(_payloads(R))
+    return x - RG.from_coeffs(coeffs)
+
+
+def _assert_matches_dense(x, want):
+    """x against the dense reference result: the same coefficients, and the
+    support, zero test, JSON form, equality and hash that a scan over all
+    |G| coefficients gives."""
+    R = x.ring
+    assert x.coeffs == want.coeffs
+    support = tuple(g for g, c in enumerate(x.coeffs) if c != R.zero)
+    assert x.support() == want.support() == support
+    assert x.is_zero() == (not support)
+    dense_dict = {x.group.names[g]: R.fmt(c) for g, c in enumerate(x.coeffs) if c != R.zero}
+    assert list(x.to_dict().items()) == list(dense_dict.items())
+    assert x == want and hash(x) == hash(want) == hash(x.coeffs)
+    assert x == gr.GroupRingElement(x.group, R, list(x.coeffs))
+
+
+_ORACLE_RINGS = ["Q", "Q(zeta3)", "Q(zeta7)", "F3", "Z/9", "F3^2"]
+
+
+@pytest.mark.parametrize("ring", _ORACLE_RINGS)
+@pytest.mark.parametrize("group", ["Q8", "D2[k=2]xC3", "C3xC2"])
+@given(data=st.data())
+def test_support_indexed_arithmetic_matches_dense_reference(group, ring, data):
+    RG = _oracle_carrier(group, ring)
+    R, G = RG.ring, RG.group
+    a, b, c = (data.draw(_group_ring_elements(RG)) for _ in range(3))
+    r = data.draw(_payloads(R))
+    g = data.draw(st.integers(0, G.order - 1))
+    # (1 - g)(1 + g + ... + g^(o-1)) = 0: a product whose terms all cancel
+    orbit = RG.zero()
+    for i in range(G.element_order(g)):
+        orbit = orbit + RG.basis(G.power(g, i))
+    one_minus_g = RG.one() - RG.basis(g)
+    checks = [
+        (a + b, reference_add(a, b)),
+        (a - b, reference_sub(a, b)),
+        (-a, reference_sub(RG.zero(), a)),
+        (a * b, reference_mul(a, b)),
+        (a.scale(r), reference_scale(a, r)),
+        (a + (-a), RG.zero()),
+        (a - a, reference_sub(a, a)),
+        (one_minus_g * (orbit * a), reference_mul(one_minus_g, reference_mul(orbit, a))),
+    ]
+    for got, want in checks:
+        _assert_matches_dense(got, want)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert (a + b) * c == a * c + b * c
+    assert one_minus_g * orbit == RG.zero()
+
+
+def test_zero_divisor_products_leave_the_support(q8, z9):
+    """3 * 3 = 0 in Z/9: the product of 3g and 3h has empty support, and a
+    sum in which one term cancels keeps only the other."""
+    RG = gr.GroupRing(q8.group, z9)
+    three = z9.from_int(3)
+    x, y = RG.basis(q8.group.generators["x"]), RG.basis(q8.group.generators["y"])
+    prod = x.scale(three) * y.scale(three)
+    assert prod.is_zero() and prod.support() == () and prod.to_dict() == {}
+    assert prod == RG.zero() and hash(prod) == hash(RG.zero())
+    assert (x + y).scale(three).scale(three).support() == ()
+    assert (x.scale(three) * (x + y)).support() == tuple(sorted({q8.s, q8.transversal[3]}))
 
 
 def _central_by_all_h(alpha):

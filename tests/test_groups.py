@@ -5,7 +5,13 @@ from hypothesis import given, strategies as st
 from starclean import groups
 from starclean.groups import Presentation as P
 from starclean.errors import CapacityError, InvalidParameterError
-from conftest import commutator_subgroup, group_from_table, is_closed, is_slc
+from conftest import (
+    commutator_subgroup,
+    group_from_table,
+    is_closed,
+    is_slc,
+    reference_build_slc,
+)
 
 
 # ---------------------------------------------------------------- abelian
@@ -128,6 +134,42 @@ def test_presentation_with_abelian_factor():
     assert is_slc(s.group)
     assert s.K.order == 3
     assert s.spec_string() == "Q8xC3"
+
+
+_ORACLE_PRESENTATIONS = [
+    (ptype, k, k2, k3)
+    for ptype in P
+    for k in (1, 2, 3)
+    for k2 in ((None,) if ptype in (P.D1, P.D2) else (1, 2))
+    for k3 in ((1, 2) if ptype is P.D5 else (None,))
+]
+
+
+@pytest.mark.parametrize(
+    "abelian", [(), (2,), (3,), (1, 3), (2, 2), (3, 3), (4, 7), (8, 3), (89,), (105,)], ids=str
+)
+def test_build_slc_matches_single_formula_reference(abelian):
+    """Core table times A's table, against one formula over all of G x G:
+    the same bytes, names, generators and subgroups, and the same capacity
+    errors."""
+    built = 0
+    for spec in _ORACLE_PRESENTATIONS:
+        try:
+            want = reference_build_slc(*spec, abelian)
+        except CapacityError:
+            with pytest.raises(CapacityError):
+                groups.build_slc(*spec, abelian)
+            continue
+        got = groups.build_slc(*spec, abelian)
+        for arr in ("mul", "inverse"):
+            a, b = getattr(got.group, arr), getattr(want.group, arr)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), (spec, arr)
+        assert got.group.names == want.group.names, spec
+        assert got.group.generators == want.group.generators, spec
+        assert got.center.members == want.center.members and got.K.members == want.K.members
+        assert got.transversal == want.transversal and got.s == want.s, spec
+        built += 1
+    assert built > 0
 
 
 def test_invalid_parameters():
