@@ -604,11 +604,15 @@ class CyclotomicField(CoefficientRing):
         self.d = d
         self.modulus = cyclotomic_polynomial(d)
         self.degree = len(self.modulus) - 1
-        self._red_rows = _reduction_rows(self.modulus).tolist()
         if self.degree == 1:
             self.zeta = (Fraction(-self.modulus[0]),)
         else:
             self.zeta = tuple(Fraction(1) if i == 1 else Fraction(0) for i in range(self.degree))
+
+    @cached_property
+    def _red_rows(self) -> list[list[int]]:
+        # built on the first product: deciding over Q(zeta_d) may need none
+        return _reduction_rows(self.modulus).tolist()
 
     def add(self, a, b):
         return tuple(x + y if y else x for x, y in zip(a, b))

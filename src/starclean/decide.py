@@ -5,10 +5,13 @@ excluded-prime elements in the abelian factor, solvability of
 X^2+Y^2+Z^2+1 = 0) plus the field-coefficient biconditional into Verdicts
 with citation-tagged reasons and machine-checked certificates.  The brute
 side enumerates or samples RG directly, in blocks of elements: each block
-meets the structure rows slice by slice, and the unit tests go through a
-per-scan cache exact on code rows, whose misses take one batched
-elimination (`_linalg`).  Cross-validation compares the two sides and
-raises on any disagreement.
+meets the structure rows slice by slice, and on a small RG an element
+sampled twice is decided once.  Its unit tests run on the halves
+alpha*e and alpha*f of |G|/2 dims (one block of |G| dims for a group
+without the SLC index layout), each with a per-scan status table exact on
+its base-q values, and the rows no table knows take one batched
+elimination per half (`_linalg`).  Cross-validation compares the two sides
+and raises on any disagreement.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .errors import CharDividesError, DiscrepancyError, PreconditionError
 from .groupring import (
     GroupRing,
     GroupRingElement,
+    _half_index,
     _regrep_index,
     counter_digits,
     idempotent_rows,
@@ -142,7 +146,9 @@ class BruteReport:
         return out
 
 
-# entries of the per-scan unit cache: bounded memory
+# entries (int8, so bytes) of a per-scan status table over the exact base-q
+# values of a half (unit or not) or of an element (decomposes or not): with
+# more values there is no table
 _CACHE_CAP = 1 << 21
 # element blocks of a scan grow from _FIRST_BLOCK rows by 4x up to _MAX_BLOCK
 _FIRST_BLOCK = 4
@@ -151,43 +157,81 @@ _MAX_BLOCK = 8192
 _SLICE_CANDIDATES = 256
 # int64 cells of the stacked GF(p)-matrices per kernel call: bounded memory
 _KERNEL_CELLS = 1 << 16
+# status table entries
+_UNKNOWN, _YES, _NO = 0, 1, 2
 
 
-def _units(RG: GroupRing, rows: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Unit mask of code rows by batched elimination on their regular
-    representations rows[:, T], in stacks of at most _KERNEL_CELLS cells
-    (after the GF(p^k) expansion over GF(p))."""
-    step = max(1, _KERNEL_CELLS // (T.size * getattr(RG.ring, "k", 1) ** 2))
-    return np.concatenate([
-        _linalg.is_invertible_codes(RG.ring, rows[i : i + step][:, T])
-        for i in range(0, rows.shape[0], step)
+def _status_table(q: int, dims: int):
+    """(table, weights): a zeroed status table over the base-q values of
+    rows of `dims` codes, and the weights that give a row's value; (None,
+    None) when there are more than _CACHE_CAP values."""
+    if q**dims > _CACHE_CAP:
+        return None, None
+    return np.zeros(q**dims, dtype=np.int8), q ** np.arange(dims, dtype=np.int64)
+
+
+class _Half:
+    """One half of the unit test: alpha*e (sign 1) or alpha*f (sign -1) on
+    the SLC index layout, else alpha itself (sign 0); see
+    `groupring._half_index`.  `T` indexes the regular representation into a
+    half row, or for alpha*f into the row [x, -x].  `table` holds the unit
+    status of each base-q value seen so far, when there are at most
+    _CACHE_CAP values."""
+
+    def __init__(self, sign: int, T: np.ndarray, q: int):
+        self.sign = sign
+        self.T = T
+        self.table, self.weights = _status_table(q, T.shape[0])
+
+    def rows(self, vec, codes: np.ndarray) -> np.ndarray:
+        if not self.sign:
+            return codes
+        odd = codes[:, 1::2]
+        return vec.add(codes[:, 0::2], odd if self.sign > 0 else vec.neg(odd))
+
+    def units(self, ring, rows: np.ndarray) -> np.ndarray:
+        """Unit mask of half rows by batched elimination, in stacks of at
+        most _KERNEL_CELLS cells (after the GF(p^k) expansion over GF(p))."""
+        if self.sign < 0:
+            rows = np.concatenate([rows, ring.vec.neg(rows)], axis=1)
+        step = max(1, _KERNEL_CELLS // (self.T.size * getattr(ring, "k", 1) ** 2))
+        return np.concatenate([
+            _linalg.is_invertible_codes(ring, rows[i : i + step][:, self.T])
+            for i in range(0, rows.shape[0], step)
+        ])
+
+
+def _halves(RG: GroupRing) -> list[_Half]:
+    """A fresh unit test's halves: alpha is a unit iff alpha*e is a unit of
+    RGe = R[G/<s>] and alpha*f one of (RG)f, as 2 is a unit of R."""
+    q = RG.ring.order
+    split = _half_index(RG.group)
+    if split is None:
+        return [_Half(0, _regrep_index(RG.group), q)]
+    T, neg = split
+    return [_Half(1, T, q), _Half(-1, T + T.shape[0] * neg, q)]
+
+
+def _is_unit_codes(RG: GroupRing, halves: list[_Half], rows: list[np.ndarray]) -> np.ndarray:
+    """Unit mask of elements given by their rows in each half (see
+    `_halves`).  A half's status comes from its table where it has one; the
+    rows it leaves unknown whose other half is not known to be a non-unit
+    take, deduplicated, one batched elimination per half."""
+    keys = [r if h.table is None else r @ h.weights for h, r in zip(halves, rows)]
+    status = np.array([
+        np.zeros(k.shape[0], dtype=np.int8) if h.table is None else h.table[k]
+        for h, k in zip(halves, keys)
     ])
-
-
-def _row_keys(codes: np.ndarray, q: int) -> list:
-    """Exact cache keys of code rows over a ring of order q: their raw bytes
-    in the smallest unsigned dtype that holds a code."""
-    codes = codes.astype(np.min_scalar_type(q - 1))
-    return codes.view(np.dtype((np.void, codes.itemsize * codes.shape[1]))).ravel().tolist()
-
-
-def _is_unit_codes(RG: GroupRing, codes: np.ndarray, T: np.ndarray, cache: dict) -> np.ndarray:
-    """Unit mask of the code rows: hits from the scan's cache, a dict from
-    row keys (see `_row_keys`) to unit status; misses deduplicated and
-    decided by one batched elimination."""
-    keys = _row_keys(codes, RG.ring.order)
-    get = cache.get
-    status = np.fromiter((get(k, 2) for k in keys), dtype=np.int8, count=len(keys))
-    miss = np.flatnonzero(status == 2).tolist()
-    if miss:
-        first: dict = {}
-        for i in miss:
-            first.setdefault(keys[i], i)
-        fresh = dict(zip(first, _units(RG, codes[list(first.values())], T).tolist()))
-        status[miss] = [fresh[keys[i]] for i in miss]
-        if len(cache) < _CACHE_CAP:
-            cache.update(fresh)
-    return status == 1
+    for i, h in enumerate(halves):
+        todo = np.flatnonzero((status[i] == _UNKNOWN) & (status != _NO).all(axis=0))
+        if not todo.size:
+            continue
+        _, first, at = np.unique(keys[i][todo], axis=0, return_index=True, return_inverse=True)
+        fresh = np.where(h.units(RG.ring, rows[i][todo[first]]), _YES, _NO).astype(np.int8)
+        status[i, todo] = fresh[at.ravel()]
+        if h.table is not None:
+            h.table[keys[i][todo[first]]] = fresh
+    return (status == _YES).all(axis=0)
 
 
 def _block_sizes() -> Iterator[int]:
@@ -260,10 +304,91 @@ def _block_bounds(total: int) -> Iterator[tuple[int, int]]:
         start += size
 
 
+def _lemire(words: np.ndarray, r: int) -> tuple[np.ndarray, bool]:
+    """numpy's bounded draws in [0, r) from 32-bit words, (w * r) >> 32,
+    and whether no word falls in the zone where numpy draws again."""
+    m = words * np.uint64(r)
+    redraw = (m & 0xFFFFFFFF) < (2**32 - r) % r
+    return (m >> np.uint64(32)).astype(np.int64), not redraw.any()
+
+
+def _stratum_rows(rng: np.random.Generator, count: int, n: int, q: int) -> np.ndarray:
+    """`count` small-support rows, each the row that
+
+        size = rng.integers(1, min(4, n) + 1)
+        pos = rng.choice(n, size=size, replace=False)
+        row[pos] = rng.integers(1, q, size=size)
+
+    draws, and rng left where those calls leave it, but computed from one
+    batch of the PCG64 generator's 32-bit words.  Each call above maps a
+    word to a value by `_lemire` (a range of 1 takes no word), and choice is
+    Floyd's algorithm followed by a shuffle, so the words of a row follow
+    from its size.  A word in numpy's redraw zone (odds about r / 2^32), or
+    a range beyond 32 bits, sends the rows through the calls themselves."""
+    mx = min(4, n)
+    out = np.zeros((count, n), dtype=np.int64)
+
+    def calls() -> np.ndarray:
+        for row in out:
+            size = int(rng.integers(1, mx + 1))
+            pos = rng.choice(n, size=size, replace=False)
+            row[pos] = rng.integers(1, q, size=size)
+        return out
+
+    if not count or q - 1 >= 2**32:
+        return calls()
+    bg = rng.bit_generator
+    saved = bg.state
+    buffered = saved["has_uint32"]  # PCG64 keeps the high half of a draw
+    cost = [0] + [(mx > 1) + k - (k == n) + k - 1 + k for k in range(1, mx + 1)]
+    raw = bg.random_raw(6 * count + 1)  # at most 12 words a row
+    words = np.empty(2 * raw.size + buffered, dtype=np.uint64)
+    words[:buffered] = saved["uinteger"]
+    words[buffered:] = np.stack([raw & 0xFFFFFFFF, raw >> np.uint64(32)], 1).ravel()
+    size_at = (_lemire(words, mx)[0] + 1).tolist()
+    starts, pos = [], 0
+    for _ in range(count):
+        starts.append(pos)
+        pos += cost[size_at[pos]]
+    starts = np.array(starts, dtype=np.int64)
+    sizes = np.array(size_at, dtype=np.int64)[starts]
+    clean = _lemire(words[starts], mx)[1]
+    for k in range(1, mx + 1):
+        rows = np.flatnonzero(sizes == k)
+        W = words[starts[rows, None] + np.arange(cost[k])]
+        col = int(mx > 1)
+        idx = np.empty((rows.size, k), dtype=np.int64)
+        for t, j in enumerate(range(n - k, n)):  # Floyd: j, or a draw in [0, j]
+            val, ok = _lemire(W[:, col], j + 1)
+            col += j > 0
+            clean &= ok
+            idx[:, t] = np.where((idx[:, :t] == val[:, None]).any(axis=1), j, val)
+        at = np.arange(rows.size)
+        for i in range(k - 1, 0, -1):  # shuffle: swap i with a draw in [0, i]
+            swap, ok = _lemire(W[:, col], i + 1)
+            col += 1
+            clean &= ok
+            idx[at, i], idx[at, swap] = idx[at, swap], idx[at, i].copy()
+        vals, ok = _lemire(W[:, col:], q - 1)
+        clean &= ok
+        out[rows[:, None], idx] = vals + 1
+    bg.state = saved
+    if not clean:
+        out[:] = 0
+        return calls()
+    used = pos - buffered  # words of the raw draws
+    bg.advance((used + 1) // 2)
+    state = bg.state
+    state["has_uint32"], state["uinteger"] = used % 2, int(words[pos - 1 + used % 2])
+    bg.state = state
+    return out
+
+
 def _element_stream(RG: GroupRing, budget: Budget):
     """(blocks, mode): code-row blocks of the full counter order within
     budget, else of stratified samples (see `_block_sizes`): small-support
-    rows drawn one by one, then uniform rows drawn a whole block at a time."""
+    rows (see `_stratum_rows`), then uniform rows drawn a whole block at a
+    time."""
     card = RG.element_count()
     n = RG.group.order
     q = RG.ring.order
@@ -274,14 +399,9 @@ def _element_stream(RG: GroupRing, budget: Budget):
     sparse = budget.sample_count // 5  # stratum: small-support elements
 
     def block(a: int, b: int) -> np.ndarray:
-        out = np.zeros((b - a, n), dtype=np.int64)
         cut = min(max(sparse - a, 0), b - a)  # the block's stratum rows
-        for row in out[:cut]:
-            size = int(rng.integers(1, min(4, n) + 1))
-            pos = rng.choice(n, size=size, replace=False)
-            row[pos] = rng.integers(1, q, size=size)
-        out[cut:] = rng.integers(0, q, size=(b - a - cut, n))
-        return out
+        stratum = _stratum_rows(rng, cut, n, q)
+        return np.concatenate([stratum, rng.integers(0, q, size=(b - a - cut, n))])
 
     return (block(a, b) for a, b in _block_bounds(budget.sample_count)), "sampled"
 
@@ -297,40 +417,60 @@ def _scan(
 
     The element stream is decided one block at a time (see `_block_sizes`):
     for each slice of structure rows in order, the block's still undecided
-    elements minus those rows go through the cached batched unit test, and
-    the elements with a unit among them leave.  A slice is one row while
+    elements minus those rows, formed half by half from the block's and the
+    rows' halves, go through the split unit test (`_is_unit_codes`), and the
+    elements with a unit among them leave.  A slice is one row while
     many elements are undecided and widens to about _SLICE_CANDIDATES
     candidates as they leave.  An element left undecided after the last row
     has no decomposition; the first such element in stream order is the
     counterexample, and `tested` counts the stream up to it, as an
-    element-by-element scan would.
+    element-by-element scan would.  When RG has at most _CACHE_CAP
+    elements, a status table over their base-q values keeps what is decided,
+    so a sampled element seen before is not decided again.
 
     The result is certified whenever it is not None: False needs a complete
     structure set behind the counterexample, True an exhaustive scan.
     """
     kind = "projection" if property == "star-clean" else "idempotent"
     size = structure_rows.shape[0]
-    neg_rows = RG.ring.vec.neg(structure_rows)
-    add = RG.ring.vec.add
-    n = RG.group.order
-    T = _regrep_index(RG.group)
-    cache: dict = {}
+    vec = RG.ring.vec
+    halves = _halves(RG)
+    neg_parts = [h.rows(vec, vec.neg(structure_rows)) for h in halves]
+
+    def stuck(rows: np.ndarray) -> np.ndarray:
+        """Mask of the rows with no decomposition."""
+        parts = [h.rows(vec, rows) for h in halves]
+        undecided = np.arange(rows.shape[0])
+        start = 0
+        while undecided.size and start < size:
+            stop = min(size, start + max(1, _SLICE_CANDIDATES // undecided.size))
+            cands = [
+                vec.add(part[undecided][:, None], neg[None, start:stop]).reshape(-1, part.shape[1])
+                for part, neg in zip(parts, neg_parts)
+            ]
+            start = stop
+            units = _is_unit_codes(RG, halves, cands).reshape(undecided.size, -1)
+            undecided = undecided[~units.any(axis=1)]
+        return np.isin(np.arange(rows.shape[0]), undecided)
+
+    memo, weights = _status_table(RG.ring.order, RG.group.order)
     blocks, mode = _element_stream(RG, budget)
     tested = 0
     for block in blocks:
-        undecided = np.arange(block.shape[0])
-        start = 0
-        while undecided.size and start < size:
-            rows = neg_rows[start : start + max(1, _SLICE_CANDIDATES // undecided.size)]
-            start += rows.shape[0]
-            cands = add(block[undecided][:, None], rows[None]).reshape(-1, n)
-            units = _is_unit_codes(RG, cands, T, cache).reshape(undecided.size, -1)
-            undecided = undecided[~units.any(axis=1)]
-        if not undecided.size:
+        if memo is None:
+            no = stuck(block)
+        else:
+            keys = block @ weights
+            fresh = np.flatnonzero(memo[keys] == _UNKNOWN)
+            new, first = np.unique(keys[fresh], return_index=True)
+            memo[new] = np.where(stuck(block[fresh[first]]), _NO, _YES)
+            no = memo[keys] == _NO
+        if not no.any():
             tested += block.shape[0]
             continue
-        tested += int(undecided[0]) + 1
-        alpha = RG.from_coeffs(RG.ring.decode(int(c)) for c in block[undecided[0]])
+        first_no = int(np.argmax(no))
+        tested += first_no + 1
+        alpha = RG.from_coeffs(RG.ring.decode(int(c)) for c in block[first_no])
         if structure_full:
             return BruteReport(property, False, alpha, mode, tested, size, True)
         return BruteReport(
@@ -400,7 +540,7 @@ def element_star_clean(
         chunks = [_sorted_rows(chunks)]
     R = alpha.ring
     codes = np.array([R.encode(c) for c in alpha.coeffs], dtype=np.int64)
-    T = _regrep_index(alpha.group)
+    halves = _halves(RG)
     sizes = _block_sizes()
     for projs in chunks:
         start = 0
@@ -408,7 +548,8 @@ def element_star_clean(
             rows = projs[start : start + next(sizes)]
             start += rows.shape[0]
             cands = R.vec.add(codes, R.vec.neg(rows))
-            units = np.flatnonzero(_units(RG, cands, T))
+            parts = [h.rows(R.vec, cands) for h in halves]
+            units = np.flatnonzero(_is_unit_codes(RG, halves, parts))
             if units.size:
                 i = int(units[0])
                 q_el = RG.from_coeffs(R.decode(int(c)) for c in rows[i])

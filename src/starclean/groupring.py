@@ -7,7 +7,8 @@ testing goes through the left regular representation: alpha is a unit iff
 its |G| x |G| matrix is invertible over R.  Over a finite ring the matrix is
 an int64 code matrix, and `is_unit` and `unit_inverse` hand it to the
 batched elimination of `_linalg` as a stack of one, the same kernel that
-the brute-force scan feeds whole stacks; over Q and Q(zeta_d) it is
+the brute-force scan feeds whole stacks of the representations of the e/f
+halves (`_half_index`); over Q and Q(zeta_d) it is
 eliminated on payloads.  Batched products of code rows (`batch_convolve`)
 are one gathered integer contraction, reduced once.
 """
@@ -241,6 +242,30 @@ def is_projection(alpha: GroupRingElement, sigma: InvolutionMap) -> bool:
 def _regrep_index(G: FiniteGroup) -> np.ndarray:
     # T[k, h] = k * h^-1, so that codes[T] is the left regular representation
     return G.mul[:, G.inverse]
+
+
+def _half_index(G: FiniteGroup) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Regular-representation indices of the halves RGe and (RG)f, e and f =
+    (1 +- s)/2, for a group with the SLC index layout: identity 0 and index
+    1 a central involution s with g*s = s*g = g XOR 1 (see `groups`); None
+    for any other group.
+
+    Over the cosets t of <s> (index pairs 2t, 2t+1), alpha*e is the element
+    y = c[0::2] + c[1::2] of R[G/<s>], whose table is mul[::2, ::2] // 2, and
+    alpha*f is x = c[0::2] - c[1::2] in the basis (2t)f.  There (2t)f * (2h)f
+    is the basis element of the coset of (2t)(2h), negated when (2t)(2h) is
+    odd, as s f = -f.  Returns (T, neg), T[k, h] = k * h^-1 in G/<s>: the
+    representations are y[T], and x[T] negated where neg holds.
+    """
+    n = G.order
+    flip = np.arange(n) ^ 1
+    if n % 2 or G.identity != 0 or not (
+        np.array_equal(G.mul[1], flip) and np.array_equal(G.mul[:, 1], flip)
+    ):
+        return None
+    Q = G.mul[::2, ::2]
+    T = (Q // 2)[:, G.inverse[::2] // 2]
+    return T, (Q % 2)[T, np.arange(n // 2)] == 1
 
 
 def regular_representation(alpha: GroupRingElement) -> list[list[Payload]]:

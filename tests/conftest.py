@@ -403,6 +403,17 @@ def reference_build_slc(ptype, k, k2=None, k3=None, abelian=()):
     )
 
 
+def reference_stratum(rng, count, n, q):
+    """`count` small-support rows drawn one by one: a size, its positions,
+    then its nonzero codes."""
+    out = np.zeros((count, n), dtype=np.int64)
+    for row in out:
+        size = int(rng.integers(1, min(4, n) + 1))
+        pos = rng.choice(n, size=size, replace=False)
+        row[pos] = rng.integers(1, q, size=size)
+    return out
+
+
 def reference_stream(RG, budget):
     """(element code rows, mode) one row at a time: counter order within the
     full-scan limit, else the stratified draw, sparse rows first."""
@@ -414,12 +425,7 @@ def reference_stream(RG, budget):
 
     def sampled():
         sparse = budget.sample_count // 5
-        for _ in range(sparse):
-            row = np.zeros(n, dtype=np.int64)
-            size = int(rng.integers(1, min(4, n) + 1))
-            pos = rng.choice(n, size=size, replace=False)
-            row[pos] = rng.integers(1, q, size=size)
-            yield row
+        yield from reference_stratum(rng, sparse, n, q)
         for _ in range(budget.sample_count - sparse):
             yield rng.integers(0, q, size=n).astype(np.int64)
 

@@ -77,6 +77,17 @@ def test_cyclotomic_seven_matches_division_oracle():
     assert coeff.cyclotomic_polynomial(7) == expected == (1,) * 7
 
 
+def test_cyclotomic_reduction_rows_are_built_by_the_first_product():
+    """Q(zeta_89) is built for Theorem C with no product over it: its 87
+    reduction rows wait for a product, and then fold zeta^88 * zeta back to
+    -(1 + zeta + ... + zeta^87)."""
+    F = coeff.CyclotomicField(89)
+    assert "_red_rows" not in vars(F)
+    zeta88 = tuple(Fraction(int(i == 87)) for i in range(88))
+    assert F.mul(zeta88, F.zeta) == (Fraction(-1),) * 88
+    assert "_red_rows" in vars(F)
+
+
 def _int_poly_mul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):

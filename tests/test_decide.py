@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from starclean import cli, coeff, decide, groups, groupring as gr
+from starclean import _linalg, cli, coeff, decide, groups, groupring as gr
 from starclean.decide import Budget, Status
 from starclean.errors import CharDividesError, PreconditionError
 from starclean.groups import Presentation as P
-from conftest import pw_mass, reference_scan, reference_stream, theorem_b_decide
+from conftest import pw_mass, reference_scan, reference_stratum, reference_stream, theorem_b_decide
 
 
 # ---------------------------------------------------------------- number theory
@@ -216,16 +216,20 @@ _SAMPLED = Budget(full_scan_limit=1000, sample_count=300)
         ("D2[k=2]", "F3", "clean", None, Budget()),
         ("D1[k=2]", "Z/9", "star-clean", "canonical", Budget()),
         ("Q8xC2", "F3^3", "star-clean", "canonical", Budget(sample_count=60)),
+        ("Q8", "F3", "clean", None, Budget(full_scan_limit=1000, sample_count=3000)),
+        ("Q8xC2", "F3", "clean", None, Budget(sample_count=300)),
+        ("Q8xC2", "F3", "star-clean", "canonical", Budget(sample_count=300)),
     ],
     ids=[
         "Q8-F3-clean", "D1-F3-clean", "Q8-F3-canonical", "Q8-F3-classical",
         "Q8-F5-clean-sampled", "Q8-Z9", "Q8-Z15", "Q8-F9", "C3xC2-F25",
-        "D2k2-F3-clean-sampled-set", "D1k2-Z9-stops-at-1", "Q8xC2-F27-bytes-keys",
+        "D2k2-F3-clean-sampled-set", "D1k2-Z9-stops-at-1", "Q8xC2-F27-no-table",
+        "Q8-F3-clean-sampled-repeats", "Q8xC2-F3-clean", "Q8xC2-F3-canonical",
     ],
 )
 def test_block_scan_matches_element_by_element_reference(spec, ring, prop, involution, budget):
-    """The block scan with its unit cache gives the report and counterexample
-    of the element-by-element loop on groupring.is_unit."""
+    """The block scan with its split unit test gives the report and
+    counterexample of the element-by-element loop on groupring.is_unit."""
     if involution is None:
         RG, _ = _carrier(spec, ring, "classical")
         rows, full = decide.idempotent_set(RG, budget)
@@ -240,9 +244,9 @@ def test_block_scan_matches_element_by_element_reference(spec, ring, prop, invol
     if budget == Budget() and rep.mode == "sampled":
         # a sampled structure set, and a scan that stops in its first blocks
         assert not rep.structure_full and rep.tested <= 5
-    if spec == "Q8xC2":
-        # base-q values of its rows overflow int64; the cache's row keys do not
-        assert RG.element_count() >= 2**63 and rep.mode == "sampled"
+    if spec == "Q8xC2" and ring == "F3^3":
+        # 27^8 values a half: above _CACHE_CAP, so the halves keep no table
+        assert 27**8 > decide._CACHE_CAP and rep.mode == "sampled"
 
 
 @pytest.mark.parametrize(
@@ -263,18 +267,132 @@ def test_sampled_stream_blocks_match_row_by_row_draws(spec, ring, count):
     assert np.array_equal(got, np.array(list(rows)))
 
 
-def test_unit_cache_keys_stay_exact_beyond_int64():
-    """Over Q8xC2/F27 (27^16 > 2^63) the rows of v and v + 2^64 share a
-    wrapped int64 base-27 value; the cache's row keys tell them apart."""
-    q, n = 27, 16
-    rows = []
-    for v in (123456789, 123456789 + 2**64):
-        rows.append([v // q**i % q for i in range(n)])
-    rows = np.array(rows, dtype=np.int64)
-    assert len(set((rows @ q ** np.arange(n, dtype=np.int64)).tolist())) == 1
-    keys = decide._row_keys(rows, q)
-    assert keys[0] != keys[1]
-    assert decide._row_keys(rows[:1], q) == keys[:1]
+@pytest.mark.parametrize(
+    "n, q", [(1, 3), (2, 7), (3, 5), (8, 3), (16, 27), (48, 5), (8, 2**31 - 1), (8, 2**32 + 15)]
+)
+def test_stratum_rows_match_the_numpy_calls(n, q):
+    """The batched stratum gives the rows of the row-by-row calls and leaves
+    the generator in their state: for sizes up to n (Floyd's draw for j = 0
+    takes no word), from a generator holding half a 64-bit draw, and for a
+    range beyond 32 bits, which the calls themselves serve."""
+    for seed, count in [(0, 0), (1, 0), (2, 1), (3, 40), (4, 300), (5, 300)]:
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        if seed % 2:
+            want_rng.integers(0, 5), got_rng.integers(0, 5)
+        want = reference_stratum(want_rng, count, n, q)
+        assert np.array_equal(decide._stratum_rows(got_rng, count, n, q), want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def test_stratum_rows_in_the_redraw_zone_come_from_the_calls(monkeypatch):
+    """A word in numpy's redraw zone (every draw flagged here) sends the rows
+    through the numpy calls, with the same rows and generator state."""
+    lemire = decide._lemire
+    monkeypatch.setattr(decide, "_lemire", lambda words, r: (lemire(words, r)[0], False))
+    want_rng, got_rng = np.random.default_rng(9), np.random.default_rng(9)
+    want = reference_stratum(want_rng, 200, 8, 3)
+    assert np.array_equal(decide._stratum_rows(got_rng, 200, 8, 3), want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def _slc_carriers_up_to_16():
+    """Every SLC presentation of order <= 16: the bases and the order-8 ones
+    times C2."""
+    out = []
+    for ptype, k, k2, order in [
+        (P.D1, 1, None, 8), (P.D1, 2, None, 16), (P.D2, 1, None, 8), (P.D2, 2, None, 16),
+        (P.D3, 1, 1, 16), (P.D4, 1, 1, 16),
+    ]:
+        out.append(groups.build_slc(ptype, k, k2))
+        if order == 8:
+            out.append(groups.build_slc(ptype, k, k2, None, (2,)))
+    return out
+
+
+def _unit_probe_rows(RG, rng, count=60):
+    """Code rows for the unit oracle: a third uniform, a third two-term
+    elements a*g + b*h (units and non-units alike), and a third products
+    beta * (1 - g) with g != 1, which are never units."""
+    R, G = RG.ring, RG.group
+    n, q, third = G.order, R.order, count // 3
+    uniform = rng.integers(0, q, size=(third, n))
+    two_term = np.zeros((third, n), dtype=np.int64)
+    for row in two_term:
+        g, h = rng.choice(n, size=2, replace=False)
+        row[[g, h]] = rng.integers(1, q, size=2)
+    beta = rng.integers(0, q, size=(count - 2 * third, n))
+    zero_divisors = np.zeros_like(beta)
+    zero_divisors[:, G.identity] = R.encode(R.one)
+    zero_divisors[np.arange(beta.shape[0]), rng.integers(1, n, size=beta.shape[0])] = R.encode(
+        R.neg(R.one)
+    )
+    biased = gr.batch_convolve(RG, beta, zero_divisors)
+    return np.concatenate([uniform, two_term, biased]).astype(np.int64)
+
+
+def _split_mask(RG, halves, codes):
+    return decide._is_unit_codes(RG, halves, [h.rows(RG.ring.vec, codes) for h in halves])
+
+
+def _oracle_mask(RG, codes):
+    R = RG.ring
+    return np.array([gr.is_unit(RG.from_coeffs(R.decode(int(c)) for c in row)) for row in codes])
+
+
+@pytest.mark.parametrize("ring", ["F3", "F5", "Z/9", "F3^2", "Z/15"])
+def test_split_unit_mask_matches_unsplit_is_unit(ring, monkeypatch):
+    """On every SLC carrier of order <= 16, on a lift group H x C2 and on
+    C3xC2 (no index layout: one block of |G| dims), the unit mask decided on
+    the e/f halves is groupring.is_unit's on the whole regular
+    representation.  A repeated call answers from the halves' tables alone."""
+    R = coeff.make_ring(ring)
+    carriers = [S.group for S in _slc_carriers_up_to_16()]
+    carriers += [groups.direct_product(groups.build_abelian((3, 2)), groups.cyclic_group(2))]
+    carriers += [groups.build_abelian((3, 2))]
+    rng = np.random.default_rng(7)
+    kernel = _linalg.is_invertible_codes
+    calls = []
+    monkeypatch.setattr(
+        _linalg, "is_invertible_codes", lambda ring, M: calls.append(M.shape[0]) or kernel(ring, M)
+    )
+    seen = set()
+    for G in carriers:
+        RG = gr.GroupRing(G, R)
+        codes = _unit_probe_rows(RG, rng)
+        halves = decide._halves(RG)
+        assert len(halves) == (1 if G.order == 6 else 2)
+        ref = _oracle_mask(RG, codes)
+        assert not ref[-20:].any()
+        assert np.array_equal(_split_mask(RG, halves, codes), ref), G.order
+        seen.update(ref.tolist())
+        calls.clear()
+        assert np.array_equal(_split_mask(RG, halves, codes), ref)
+        if all(h.table is not None for h in halves):
+            assert not calls
+    assert seen == {True, False}
+
+
+def test_split_unit_mask_without_tables_keeps_rows_apart():
+    """Over Q8xC2/F27 a half has 27^8 > _CACHE_CAP values, so no table: rows
+    are deduplicated within the call only, and never conflated there.  Not
+    e = (1 + s)/2, a non-unit, and e + gf for g = n - 2, a unit, whose
+    halves differ in the last coordinate of alpha*f only; not rows v and
+    v + 2^64, whose base-27 values wrap to one int64; not duplicates."""
+    RG, _ = _carrier("Q8xC2", "F3^3", "classical")
+    R, q, n = RG.ring, 27, 16
+    halves = decide._halves(RG)
+    assert q ** (n // 2) > decide._CACHE_CAP and all(h.table is None for h in halves)
+    half = R.encode(R.half)
+    e, e_gf = np.zeros((2, n), dtype=np.int64)
+    e[:2] = e_gf[:2] = half
+    e_gf[n - 2], e_gf[n - 1] = half, R.encode(R.neg(R.half))
+    wrapped = np.array([[v // q**i % q for i in range(n)] for v in (123456789, 123456789 + 2**64)])
+    assert len(set((wrapped @ q ** np.arange(n, dtype=np.int64)).tolist())) == 1
+    probe = _unit_probe_rows(RG, np.random.default_rng(3), 30)
+    codes = np.concatenate([[e, e_gf], wrapped, probe, probe[::-1], wrapped[::-1], [e_gf, e]])
+    ref = _oracle_mask(RG, codes)
+    assert not ref[0] and ref[1]
+    assert np.array_equal(_split_mask(RG, halves, codes), ref)
 
 
 def _eager_first_decomposition(alpha, sigma, budget):

@@ -270,6 +270,31 @@ def test_group_elements_are_units(rq8_f3, q8):
         assert gr.unit_inverse(el) == rq8_f3.basis(q8.group.inv_idx(g))
 
 
+@pytest.mark.parametrize("spec", ["Q8", "D2[k=2]xC3", "D3[k=1,k2=1]", "D1[k=1]xC2"])
+def test_half_representations_are_multiplicative(spec):
+    """The e/f halves are ring maps and `_half_index` gives their regular
+    representations: for y = c[0::2] + c[1::2] and x = c[0::2] - c[1::2],
+    y(alpha beta) = y(alpha)[T] y(beta) and x(alpha beta) = +-x(alpha)[T]
+    x(beta), with the signs at `neg`, over F5 against batch_convolve."""
+    S = cli.parse_group_spec(spec)
+    RG = gr.GroupRing(S.group, coeff.FiniteField(5))
+    T, neg = gr._half_index(S.group)
+    rng = np.random.default_rng(5)
+    A, B = rng.integers(0, 5, size=(2, 20, S.group.order))
+    AB = gr.batch_convolve(RG, A, B)
+    for sign in (1, -1):
+        a, b, ab = ((C[:, 0::2] + sign * C[:, 1::2]) % 5 for C in (A, B, AB))
+        M = a[:, T] * np.where(neg & (sign < 0), -1, 1)
+        assert np.array_equal(np.einsum("nkh,nh->nk", M, b) % 5, ab)
+    assert neg.any()
+
+
+def test_groups_without_the_index_layout_have_no_halves():
+    assert gr._half_index(groups.build_abelian((3, 2))) is None
+    assert gr._half_index(groups.cyclic_group(9)) is None
+    assert gr._half_index(groups.cyclic_group(2)) is not None
+
+
 def test_one_plus_s_is_not_a_unit(rq8_f3, q8):
     one_plus_s = rq8_f3.one() + rq8_f3.basis(q8.s)
     oms = rq8_f3.one() - rq8_f3.basis(q8.s)
