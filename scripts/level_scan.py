@@ -10,7 +10,7 @@ Usage: python scripts/level_scan.py [--limit 200]
 
 import argparse
 
-from starclean import coeff, decide, numtheory
+from starclean import coeff, numtheory
 
 
 def main():
@@ -23,7 +23,7 @@ def main():
         if p == 2:
             continue
         level = coeff.level_classify_prime(p)
-        n = decide.exists_n_dividing(p)
+        n = numtheory.exists_n_dividing(p)
         n_str = str(n) if n is not None else "-"
         print(f"{p:>6} {p % 8:>4} {level.value:>8} {n_str:>14}")
         if p % 8 == 7:

@@ -15,13 +15,11 @@ from .coeff import (
     NO_SOLUTION,
     RationalField,
     ThreeSquaresSolution,
-    UNKNOWN,
     cyclotomic_polynomial,
     extend_with_root,
     level_classify_prime,
     make_ring,
     solve_three_squares,
-    two_squares_search,
 )
 from .decide import (
     Budget,
@@ -32,7 +30,6 @@ from .decide import (
     cross_validate,
     decide_star_clean,
     element_star_clean,
-    exists_n_dividing,
     necessary_conditions,
     perlis_walker,
     theorem_c_decide,
@@ -44,7 +41,6 @@ from .groupring import (
     is_idempotent,
     is_projection,
     is_unit,
-    unit_inverse,
 )
 from .groups import (
     FiniteGroup,
@@ -60,6 +56,7 @@ from .groups import (
     cyclic_group,
     direct_product,
 )
+from .numtheory import exists_n_dividing
 from .witness import (
     NonCleanWitness,
     StarCleanDecomposition,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .coeff import CoefficientRing, Payload
 from .errors import NotInFComponentError, PreconditionError
-from .groupring import GroupRing, GroupRingElement, idempotent_rows
+from .groupring import GroupRing, GroupRingElement, candidate_rows
 from .groups import SLCStructure
 
 DEFAULT_F_BUDGET = 1 << 22
@@ -125,5 +125,5 @@ def f_projections(
         out[:, 1 : S.zsize : 2] = R.vec.neg(vals)
         return out
 
-    chunks, _ = idempotent_rows(RG, scatter, dims, budget)
+    chunks, _ = candidate_rows(RG, scatter, dims, budget)
     return [RG.from_coeffs(R.decode(int(c)) for c in row) for rows in chunks for row in rows]

@@ -186,7 +186,7 @@ def run(job: JobSpec) -> tuple[int, dict]:
     if job.command == "witness":
         if not isinstance(gobj, groups.SLCStructure):
             raise PreconditionError("witness generation needs an SLC presentation")
-        w = witness_mod.generate_witness(gobj, ring, budget.z_budget)
+        w = witness_mod.generate_witness(gobj, ring)
         if w is None:
             report["witness"] = None
             report["outcome"] = "no-witness; necessary conditions hold"

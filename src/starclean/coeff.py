@@ -923,10 +923,10 @@ def _cyclotomic_three_squares(F: CyclotomicField) -> SolveOutcome:
         return sol
     d_odd = d if d % 2 == 1 else d // 2
     for p, _ in numtheory.factorize(d_odd):
-        r = numtheory.multiplicative_order(2, p)
-        if r % 2 == 0:
-            # p divides 2^(r/2) + 1: the two-squares chain is explicit
-            x, y = _two_squares_from_root_chain(F, p, r // 2)
+        n = numtheory.exists_n_dividing(p)
+        if n is not None:
+            # p divides 2^n + 1: the two-squares chain is explicit
+            x, y = _two_squares_from_root_chain(F, p, n)
             sol = ThreeSquaresSolution(F, x, y, F.zero)
             assert sol.verify()
             return sol

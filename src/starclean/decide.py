@@ -31,8 +31,8 @@ from .groupring import (
     GroupRingElement,
     _half_index,
     _regrep_index,
+    candidate_rows,
     counter_digits,
-    idempotent_rows,
 )
 from .groups import (
     FiniteGroup,
@@ -93,27 +93,10 @@ class Budget:
     sample_count: int = 100_000
     structure_samples: int = 5_000
     low_support_limit: int = 10_000
-    z_budget: int = 200_000
     seed: int = 0
 
 
 DEFAULT_BUDGET = Budget()
-
-
-# --------------------------------------------------------------------------
-# number theory entry point
-# --------------------------------------------------------------------------
-
-def exists_n_dividing(p: int) -> Optional[int]:
-    """Least n with p | 2^n + 1, or None.
-
-    Such n exists iff ord_p(2) is even, and then n = ord_p(2)/2 since
-    2^(ord/2) is the nontrivial square root of 1 mod p.
-    """
-    if p == 2 or not numtheory.is_prime(p):
-        raise PreconditionError(f"{p} is not an odd prime")
-    order = numtheory.multiplicative_order(2, p)
-    return order // 2 if order % 2 == 0 else None
 
 
 # --------------------------------------------------------------------------
@@ -244,8 +227,8 @@ def _block_sizes() -> Iterator[int]:
 
 
 def _structure_rows(RG: GroupRing, scatter, dims: int, budget: Budget):
-    """(chunks, full) from idempotent_rows under the budget's structure limits."""
-    return idempotent_rows(
+    """(chunks, full) from candidate_rows under the budget's structure limits."""
+    return candidate_rows(
         RG,
         scatter,
         dims,
@@ -527,12 +510,12 @@ def element_star_clean(
 
     Projections are computed chunk by chunk in the order of
     :func:`projection_set`, and alpha minus each slice of them (growing as
-    the blocks of a scan do, see `_block_sizes`) takes one batched unit
-    test; the search stops at the first slice with a unit, so the rest of
-    the set is never built.  A sampled projection set is built whole and
-    sorted first.  A None is conclusive
-    only when the projection set was exhaustive; use :func:`projection_set`
-    directly to check the flag.
+    the blocks of a scan do, see `_block_sizes`, up to _KERNEL_CELLS cells
+    of matrices) takes one batched unit test of the whole regular
+    representation; the search stops at the first slice with a unit, so the
+    rest of the set is never built.  A sampled projection set is built whole
+    and sorted first.  A None is conclusive only when the projection set was
+    exhaustive; use :func:`projection_set` directly to check the flag.
     """
     RG = GroupRing(alpha.group, alpha.ring)
     chunks, full = _projection_rows(RG, sigma, budget)
@@ -540,16 +523,16 @@ def element_star_clean(
         chunks = [_sorted_rows(chunks)]
     R = alpha.ring
     codes = np.array([R.encode(c) for c in alpha.coeffs], dtype=np.int64)
-    halves = _halves(RG)
+    T = _regrep_index(RG.group)
+    cap = max(1, _KERNEL_CELLS // (T.size * getattr(R, "k", 1) ** 2))
     sizes = _block_sizes()
     for projs in chunks:
         start = 0
         while start < projs.shape[0]:
-            rows = projs[start : start + next(sizes)]
+            rows = projs[start : start + min(next(sizes), cap)]
             start += rows.shape[0]
             cands = R.vec.add(codes, R.vec.neg(rows))
-            parts = [h.rows(R.vec, cands) for h in halves]
-            units = np.flatnonzero(_is_unit_codes(RG, halves, parts))
+            units = np.flatnonzero(_linalg.is_invertible_codes(R, cands[:, T]))
             if units.size:
                 i = int(units[0])
                 q_el = RG.from_coeffs(R.decode(int(c)) for c in rows[i])
@@ -578,7 +561,7 @@ def necessary_conditions(
     """The four necessary checks in order: G = Q8 x A, no order-4 element of
     A, no excluded-prime element of A, equation unsolvable in R.  Failures
     come with the matching constructive witness."""
-    w = witness_mod.generate_witness(S, R, budget.z_budget)
+    w = witness_mod.generate_witness(S, R)
     if w is None:
         return Verdict(
             Status.UNKNOWN,

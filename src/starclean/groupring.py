@@ -1,5 +1,5 @@
 """Group-ring arithmetic RG with involution extension, idempotent/unit/
-projection predicates, and the batched idempotent-row stream over code
+projection predicates, and the one lexicographic candidate stream over code
 matrices.
 
 Elements are dense coefficient tuples indexed by group element.  Unit
@@ -311,81 +311,10 @@ def unit_inverse(alpha: GroupRingElement) -> Optional[GroupRingElement]:
     return beta
 
 
-# codes per candidate block and per idempotent-filter chunk: bounded memory
-_CANDIDATE_CELLS = 1 << 19
+# codes per block of a candidate stream: bounded memory
 _CONVOLVE_CELLS = 1 << 15
 # cells of each gathered temporary of batch_convolve (rows x g x |G|)
 _GATHER_CELLS = 1 << 16
-
-
-def counter_digits(counters: np.ndarray, q: int, width: int, lex: bool = False) -> np.ndarray:
-    """Base-q digits of each counter, least significant first; with `lex`,
-    most significant first, so consecutive counters give rows in
-    lexicographic order."""
-    out = np.empty((counters.shape[0], width), dtype=np.int64)
-    rem = counters.astype(np.int64)
-    for i in range(width - 1, -1, -1) if lex else range(width):
-        out[:, i] = rem % q
-        rem //= q
-    return out
-
-
-def _sampled_values(q: int, dims: int, samples: int, low_support_limit: int, seed: int):
-    """The low-index-support stratum, then `samples` uniform draws."""
-    low = 1
-    while low < dims and q ** (low + 1) <= low_support_limit:
-        low += 1
-    stratum = np.zeros((q**low, dims), dtype=np.int64)
-    stratum[:, :low] = counter_digits(np.arange(q**low), q, low)
-    rng = np.random.default_rng(seed)
-    return [stratum, rng.integers(0, q, size=(samples, dims))]
-
-
-def idempotent_rows(
-    RG: GroupRing,
-    scatter,  # callable: value matrix (N, dims) -> code matrix (N, |G|)
-    dims: int,
-    limit: int,
-    samples: Optional[int] = None,
-    low_support_limit: int = 0,
-    seed: int = 0,
-) -> tuple[Iterator[np.ndarray], bool]:
-    """Idempotent rows among scatter(v) for v over R^dims, one array per
-    convolution chunk and computed as the chunks are consumed, plus an
-    exhaustiveness flag.
-
-    Within `limit` candidates the values run in lexicographic order (first
-    coordinate slowest).  Beyond it, with `samples` given, the candidates are
-    the low-index-support stratum of at most `low_support_limit` values plus
-    `samples` seeded uniform draws, and rows may repeat; without `samples`
-    this raises BudgetError at the call, before any chunk is computed.
-    """
-    q = RG.ring.order
-    if q is None:
-        raise BudgetError(f"{RG.ring!r} is infinite; enumeration impossible")
-    card = q**dims
-    block = max(1, _CANDIDATE_CELLS // RG.group.order)
-    step = max(1, _CONVOLVE_CELLS // RG.group.order)
-    if card <= limit:
-        blocks = (
-            counter_digits(np.arange(start, min(card, start + block)), q, dims, lex=True)
-            for start in range(0, card, block)
-        )
-        full = True
-    elif samples is None:
-        raise BudgetError(f"|R|^{dims} = {card} exceeds budget {limit}", cardinality=card)
-    else:
-        blocks = _sampled_values(q, dims, samples, low_support_limit, seed)
-        full = False
-
-    def chunks() -> Iterator[np.ndarray]:
-        for values in blocks:
-            candidates = scatter(values)
-            for start in range(0, candidates.shape[0], step):
-                C = candidates[start : start + step]
-                yield C[batch_idempotent_mask(RG, C)]
-
-    return chunks(), full
 
 
 # --------------------------------------------------------------------------
@@ -418,3 +347,79 @@ def batch_convolve(RG: GroupRing, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def batch_idempotent_mask(RG: GroupRing, C: np.ndarray) -> np.ndarray:
     return (batch_convolve(RG, C, C) == C).all(axis=1)
+
+
+# --------------------------------------------------------------------------
+# the candidate stream
+# --------------------------------------------------------------------------
+
+def counter_digits(counters: np.ndarray, q: int, width: int, lex: bool = False) -> np.ndarray:
+    """Base-q digits of each counter, least significant first; with `lex`,
+    most significant first, so consecutive counters give rows in
+    lexicographic order."""
+    out = np.empty((counters.shape[0], width), dtype=np.int64)
+    rem = counters.astype(np.int64)
+    for i in range(width - 1, -1, -1) if lex else range(width):
+        out[:, i] = rem % q
+        rem //= q
+    return out
+
+
+def _sampled_values(q: int, dims: int, samples: int, low_support_limit: int, seed: int):
+    """The low-index-support stratum, then `samples` uniform draws."""
+    low = 1
+    while low < dims and q ** (low + 1) <= low_support_limit:
+        low += 1
+    stratum = np.zeros((q**low, dims), dtype=np.int64)
+    stratum[:, :low] = counter_digits(np.arange(q**low), q, low)
+    rng = np.random.default_rng(seed)
+    return [stratum, rng.integers(0, q, size=(samples, dims))]
+
+
+def candidate_rows(
+    RG: GroupRing,
+    scatter,  # callable: value matrix (N, dims) -> code matrix (N, |G|)
+    dims: int,
+    limit: int,
+    samples: Optional[int] = None,
+    low_support_limit: int = 0,
+    seed: int = 0,
+    keep=batch_idempotent_mask,  # callable: (RG, code matrix) -> row mask
+) -> tuple[Iterator[np.ndarray], bool]:
+    """The rows of scatter(v) for v over R^dims that pass `keep`, one array
+    per block of _CONVOLVE_CELLS // |G| values, each enumerated, scattered
+    and filtered as the blocks are consumed, plus an exhaustiveness flag.
+
+    Within `limit` candidates the values run in lexicographic order (first
+    coordinate slowest).  Beyond it, with `samples` given, the candidates are
+    the low-index-support stratum of at most `low_support_limit` values plus
+    `samples` seeded uniform draws, and rows may repeat; without `samples`
+    this raises BudgetError at the call, before any block is computed.
+    """
+    q = RG.ring.order
+    if q is None:
+        raise BudgetError(f"{RG.ring!r} is infinite; enumeration impossible")
+    card = q**dims
+    step = max(1, _CONVOLVE_CELLS // RG.group.order)
+    if card <= limit:
+        blocks = (
+            counter_digits(np.arange(start, min(card, start + step)), q, dims, lex=True)
+            for start in range(0, card, step)
+        )
+        full = True
+    elif samples is None:
+        raise BudgetError(f"|R|^{dims} = {card} exceeds budget {limit}", cardinality=card)
+    else:
+        blocks = (
+            values[start : start + step]
+            for values in _sampled_values(q, dims, samples, low_support_limit, seed)
+            for start in range(0, values.shape[0], step)
+        )
+        full = False
+
+    def chunks() -> Iterator[np.ndarray]:
+        for values in blocks:
+            C = scatter(values)
+            yield C[keep(RG, C)]
+
+    return chunks(), full

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, isqrt
+from typing import Optional
+
+from .errors import PreconditionError
 
 
 def is_prime(n: int) -> bool:
@@ -78,6 +81,18 @@ def multiplicative_order(a: int, n: int) -> int:
         if pow(a, d, n) == 1:
             return d
     raise AssertionError("order must divide euler_phi(n)")
+
+
+def exists_n_dividing(p: int) -> Optional[int]:
+    """Least n with p | 2^n + 1, or None.
+
+    Such n exists iff ord_p(2) is even, and then n = ord_p(2)/2 since
+    2^(ord/2) is the nontrivial square root of 1 mod p.
+    """
+    if p == 2 or not is_prime(p):
+        raise PreconditionError(f"{p} is not an odd prime")
+    order = multiplicative_order(2, p)
+    return order // 2 if order % 2 == 0 else None
 
 
 def crt(residues: list[int], moduli: list[int]) -> int:

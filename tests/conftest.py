@@ -1,9 +1,10 @@
 """Shared fixtures, plus the oracles that the runtime does not need:
 exhaustive enumeration of RG, dense group-ring arithmetic over all |G|
 coefficients, the per-group-element convolution, the element-by-element
-brute-force scan, Theorem B's biconditional, the closed-form involution on
-(RG)f, the problem element of a witness, the single-formula SLC table, and
-the group-theoretic checks on built groups."""
+brute-force scan, the block-by-block witness condition-2 check, Theorem
+B's biconditional, the closed-form involution on (RG)f, the problem element
+of a witness, the single-formula SLC table, and the group-theoretic checks
+on built groups."""
 
 import itertools
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from starclean import canonical as cn, coeff, groups, groupring as gr
+from starclean import canonical as cn, coeff, groups, groupring as gr, witness as wt
 from starclean.decide import BruteReport, Reason, Status, Verdict
 from starclean.errors import (
     BudgetError,
@@ -464,6 +465,40 @@ def reference_scan(RG, structure_rows, structure_full, prop, budget):
         return BruteReport(prop, True, None, mode, tested, size, structure_full)
     note = "sampled scan: no counterexample in samples"
     return BruteReport(prop, None, None, mode, tested, size, structure_full, notes=[note])
+
+
+def reference_check_witness(G, R, sigma, w, s_index, z_budget=200_000):
+    """`witness.check_witness` as one loop of its own over blocks of at most
+    2^19 codes: the candidates z are code rows in lexicographic order of
+    their coefficients on Z(G)'s members, one batched convolution with the
+    fixed row tau_w (1 - s) per block, and a failure reports the first z
+    with (z - 4^-1 gamma) tau_w (1 - s) = 0."""
+    if int(sigma.image[s_index]) != s_index:
+        raise PreconditionError("involution must fix s")
+    RG = gr.GroupRing(G, R)
+    oms = RG.one() - RG.basis(s_index)
+    if not ((RG.one() - w.gamma * w.gamma) * w.tau_w * oms).is_zero():
+        return wt.CheckOutcome("condition1")
+    if R.order is None:
+        raise BudgetError("exhaustive condition-2 check needs a finite ring")
+    Z = groups.center(G)
+    card = R.order ** Z.order
+    if card > z_budget:
+        raise BudgetError(f"|R|^|Z| = {card} exceeds budget {z_budget}", cardinality=card)
+    base = (-w.gamma.scale(R.inv(R.from_int(4)))) * w.tau_w * oms
+    tau_oms_row = np.array([[R.encode(c) for c in (w.tau_w * oms).coeffs]], dtype=np.int64)
+    base_row = np.array([R.encode(c) for c in base.coeffs], dtype=np.int64)
+    block = max(1, (1 << 19) // G.order)
+    for start in range(0, card, block):
+        counters = np.arange(start, min(card, start + block))
+        rows = np.zeros((counters.shape[0], G.order), dtype=np.int64)
+        rows[:, list(Z.members)] = gr.counter_digits(counters, R.order, Z.order, lex=True)
+        prod = gr.batch_convolve(RG, rows, tau_oms_row)
+        hits = (R.vec.add(prod, base_row) == 0).all(axis=1)
+        if hits.any():
+            z = RG.from_coeffs(R.decode(int(c)) for c in rows[int(np.argmax(hits))])
+            return wt.CheckOutcome("condition2", z=z)
+    return wt.CheckOutcome("valid")
 
 
 def reference_three_squares(R):

@@ -204,7 +204,6 @@ def test_witness_soundness_sweep():
             structure_limit=100_000,
             structure_samples=2_000,
             low_support_limit=7_000,
-            z_budget=700,
             seed=0,
         )
         rings = [coeff.FiniteField(3), coeff.FiniteField(5), coeff.ModRing(9)]
@@ -212,7 +211,7 @@ def test_witness_soundness_sweep():
         for S in _presentations_up_to_32():
             sigma = groups.canonical_involution(S)
             for R in rings:
-                w = wt.generate_witness(S, R, z_budget=budget.z_budget)
+                w = wt.generate_witness(S, R, z_budget=700)
                 assert isinstance(w, wt.NonCleanWitness), (S.spec_string(), R)
                 h = problem_element(S, R, w)
                 # the derived problem element must admit no decomposition
@@ -237,7 +236,7 @@ def test_excluded_prime_scan():
         for p in numtheory.primes_below(10_000):
             if p == 2:
                 continue
-            n = decide.exists_n_dividing(p)
+            n = numtheory.exists_n_dividing(p)
             if p % 8 == 7:
                 assert n is None, p
             elif p % 8 in (3, 5):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from starclean import _linalg, cli, coeff, decide, groups, groupring as gr
+from starclean import _linalg, cli, coeff, decide, groups, groupring as gr, numtheory
 from starclean.decide import Budget, Status
 from starclean.errors import CharDividesError, PreconditionError
 from starclean.groups import Presentation as P
@@ -11,22 +11,22 @@ from conftest import pw_mass, reference_scan, reference_stratum, reference_strea
 # ---------------------------------------------------------------- number theory
 
 def test_exists_n_dividing_examples():
-    assert decide.exists_n_dividing(3) == 1
-    assert decide.exists_n_dividing(5) == 2
-    assert decide.exists_n_dividing(7) is None
-    assert decide.exists_n_dividing(17) == 4  # 17 = 2^4 + 1
+    assert numtheory.exists_n_dividing(3) == 1
+    assert numtheory.exists_n_dividing(5) == 2
+    assert numtheory.exists_n_dividing(7) is None
+    assert numtheory.exists_n_dividing(17) == 4  # 17 = 2^4 + 1
 
 
 def test_exists_n_dividing_verifies():
     for p in [3, 5, 11, 13, 17, 19, 29]:
-        n = decide.exists_n_dividing(p)
+        n = numtheory.exists_n_dividing(p)
         if n is not None:
             assert (2**n + 1) % p == 0
 
 
 def test_exists_n_rejects_composite():
     with pytest.raises(PreconditionError):
-        decide.exists_n_dividing(9)
+        numtheory.exists_n_dividing(9)
 
 
 # ---------------------------------------------------------------- necessary conditions
@@ -474,6 +474,26 @@ def test_exhaustive_projection_stream_is_sorted_and_distinct(spec, ring, involut
     rows = np.concatenate(list(chunks))
     # projection_set returns these rows np.unique'd; the stream needs no sort
     assert np.array_equal(rows, np.unique(rows, axis=0))
+
+
+def test_candidate_stream_enumerates_one_block_per_chunk(monkeypatch):
+    """Q8/F13 classical has 13^5 = 371,293 candidate projections; the first
+    chunk of the stream enumerates one block of _CONVOLVE_CELLS // |G| values
+    and no more, and the call itself enumerates nothing."""
+    RG, sigma = _carrier("Q8", "F13", "classical")
+    digits = gr.counter_digits
+    enumerated = []
+
+    def recording(*args, **kwargs):
+        out = digits(*args, **kwargs)
+        enumerated.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(gr, "counter_digits", recording)
+    chunks, full = decide._projection_rows(RG, sigma, Budget())
+    assert full and not enumerated
+    first = next(chunks)
+    assert first.shape[0] and sum(enumerated) <= gr._CONVOLVE_CELLS // RG.group.order
 
 
 def test_element_star_clean_one_yields_unit_plus_zero(q8, f3):

@@ -520,6 +520,25 @@ def test_projection_enumeration_symmetric_subspace(q8, f3, sigma_q8, central_ef)
         assert gr.is_projection(p, sigma_q8)
 
 
+@pytest.mark.parametrize(
+    "group,ring,samples",
+    [("Q8", "F5", 9_000), ("Q8xC2", "F3", 3_000)],
+)
+def test_sampled_stream_filters_the_one_drawn_array(group, ring, samples):
+    """A sampled stream cuts the stratum and the draws, each drawn at once,
+    into blocks of _CONVOLVE_CELLS // |G| values: its chunks, concatenated,
+    are the idempotents among the one drawn array, in draw order."""
+    S = cli.parse_group_spec(group)
+    RG = gr.GroupRing(S.group, coeff.make_ring(ring))
+    n, q = RG.group.order, RG.ring.order
+    chunks, full = gr.candidate_rows(RG, lambda v: v, n, 10, samples, 100, seed=3)
+    chunks = list(chunks)
+    assert not full and len(chunks) > 2
+    drawn = np.concatenate(gr._sampled_values(q, n, samples, 100, 3))
+    expected = drawn[(reference_convolve(RG, drawn, drawn) == drawn).all(axis=1)]
+    assert np.array_equal(np.concatenate(chunks), expected)
+
+
 def test_enumeration_budget_error(f3):
     s = groups.build_slc(groups.Presentation.D2, 1, abelian=[2, 2])
     RG = gr.GroupRing(s.group, f3)

@@ -6,7 +6,7 @@ import pytest
 from starclean import coeff, decide, groups, groupring as gr, witness as wt
 from starclean.errors import BudgetError, PreconditionError
 from starclean.groups import Presentation as P
-from conftest import enumerate_elements, problem_element
+from conftest import enumerate_elements, problem_element, reference_check_witness
 
 
 # ---------------------------------------------------------------- two squares
@@ -188,6 +188,35 @@ def test_batched_condition2_matches_scalar_on_failing_pairs(q8, f3, z9, f5):
         out = _batched_matches_scalar(S, R, w)
         assert out.status == "condition2"
         assert not out.z.is_zero()
+
+
+@pytest.mark.parametrize("gamma", ["one", "minus-one", "generated"])
+def test_check_witness_matches_block_loop_across_blocks(gamma):
+    """Over Q8xC4/F3 the 3^8 = 6,561 candidates z run in blocks of
+    _CONVOLVE_CELLS // 32 = 1,024.  With gamma = tau_w = 1 the first failing
+    z is 2s (2s(1 - s) = 1 - s), at lexicographic index 2 * 3^6 = 1,458, in
+    the second block; with gamma = -1 it is s, in the first; the generated
+    witness passes all seven.  Each outcome is the reference loop's."""
+    S = groups.build_slc(P.D2, 1, abelian=(4,))
+    R = coeff.FiniteField(3)
+    RG = gr.GroupRing(S.group, R)
+    sigma = groups.canonical_involution(S)
+    Z = groups.center(S.group)
+    block = gr._CONVOLVE_CELLS // S.group.order
+    assert (R.order**Z.order, block) == (6561, 1024)
+    if gamma == "generated":
+        w = wt.generate_witness(S, R)
+    else:
+        w = wt.NonCleanWitness(RG.one() if gamma == "one" else -RG.one(), RG.one(), "manual")
+    out = wt.check_witness(S.group, R, sigma, w, S.s)
+    ref = reference_check_witness(S.group, R, sigma, w, S.s)
+    assert (out.status, out.z) == (ref.status, ref.z)
+    if gamma == "generated":
+        assert out.is_valid
+        return
+    assert out.z == RG.basis(S.s).scale(R.from_int(2 if gamma == "one" else 1))
+    index = int("".join(str(R.encode(out.z.coeffs[m])) for m in Z.members), 3)
+    assert (index >= block) == (gamma == "one")
 
 
 def test_check_witness_budget_errors(q8, f3, qq):
