@@ -305,6 +305,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(3)
 
 
+def _non_negative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="starclean", description=__doc__)
@@ -314,9 +320,10 @@ def _build_parser() -> _Parser:
         p.add_argument("--group", required=True)
         p.add_argument("--ring", required=True)
         p.add_argument("--json", action="store_true")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_non_negative_int, default=0)
         if budget:
-            p.add_argument("--budget", type=int, default=None, help="full-scan cardinality cap")
+            p.add_argument("--budget", type=_non_negative_int, default=Budget.full_scan_limit,
+                           help="full-scan cardinality cap")
         if explain:
             p.add_argument("--explain", action="store_true")
 
@@ -344,7 +351,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("levels", help="level of Q(zeta_p) by residue class")
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     return parser
 
 
@@ -377,7 +384,7 @@ def main(argv=None) -> int:
         group_spec=getattr(args, "group", None),
         ring_spec=getattr(args, "ring", None),
         involution=getattr(args, "involution", "canonical"),
-        budget=Budget(full_scan_limit=getattr(args, "budget", None) or Budget.full_scan_limit),
+        budget=Budget(full_scan_limit=getattr(args, "budget", Budget.full_scan_limit)),
         output_json=args.json,
         seed=args.seed,
         explain=getattr(args, "explain", False),

@@ -82,10 +82,10 @@ class Budget:
     """Enumeration policy.
 
     ``full_scan_limit`` caps exhaustive element scans (larger carriers get
-    stratified sampling of ``sample_count`` elements); ``structure_limit``
-    caps exhaustive idempotent/projection precomputation, with the sampled
-    fallback drawing ``structure_samples`` candidates plus the full
-    low-index-support stratum of at most ``low_support_limit`` candidates.
+    ``sample_count`` samples, the first ``sample_count // 5`` of support size
+    at most 4); ``structure_limit`` caps exhaustive idempotent/projection
+    precomputation, with the sampled fallback drawing ``structure_samples``
+    candidates plus the full low-index stratum of at most ``low_support_limit``.
     """
 
     full_scan_limit: int = 1 << 23
@@ -287,91 +287,26 @@ def _block_bounds(total: int) -> Iterator[tuple[int, int]]:
         start += size
 
 
-def _lemire(words: np.ndarray, r: int) -> tuple[np.ndarray, bool]:
-    """numpy's bounded draws in [0, r) from 32-bit words, (w * r) >> 32,
-    and whether no word falls in the zone where numpy draws again."""
-    m = words * np.uint64(r)
-    redraw = (m & 0xFFFFFFFF) < (2**32 - r) % r
-    return (m >> np.uint64(32)).astype(np.int64), not redraw.any()
-
-
 def _stratum_rows(rng: np.random.Generator, count: int, n: int, q: int) -> np.ndarray:
-    """`count` small-support rows, each the row that
-
-        size = rng.integers(1, min(4, n) + 1)
-        pos = rng.choice(n, size=size, replace=False)
-        row[pos] = rng.integers(1, q, size=size)
-
-    draws, and rng left where those calls leave it, but computed from one
-    batch of the PCG64 generator's 32-bit words.  Each call above maps a
-    word to a value by `_lemire` (a range of 1 takes no word), and choice is
-    Floyd's algorithm followed by a shuffle, so the words of a row follow
-    from its size.  A word in numpy's redraw zone (odds about r / 2^32), or
-    a range beyond 32 bits, sends the rows through the calls themselves."""
-    mx = min(4, n)
+    """`count` small-support rows, each from 1 + n + m words in [0, 2^62),
+    m = min(4, n): size 1 + w % m from the first, positions the first
+    `size` columns of the stable argsort of the next n, codes
+    1 + w % (q - 1) from the last m.  A range of 2^62 never draws again, so
+    a row takes the same words in any block; codes are exact for q < 2^62."""
+    m = min(4, n)
+    u = rng.integers(0, 2**62, size=(count, 1 + n + m))
+    used = np.arange(m) < 1 + u[:, :1] % m
     out = np.zeros((count, n), dtype=np.int64)
-
-    def calls() -> np.ndarray:
-        for row in out:
-            size = int(rng.integers(1, mx + 1))
-            pos = rng.choice(n, size=size, replace=False)
-            row[pos] = rng.integers(1, q, size=size)
-        return out
-
-    if not count or q - 1 >= 2**32:
-        return calls()
-    bg = rng.bit_generator
-    saved = bg.state
-    buffered = saved["has_uint32"]  # PCG64 keeps the high half of a draw
-    cost = [0] + [(mx > 1) + k - (k == n) + k - 1 + k for k in range(1, mx + 1)]
-    raw = bg.random_raw(6 * count + 1)  # at most 12 words a row
-    words = np.empty(2 * raw.size + buffered, dtype=np.uint64)
-    words[:buffered] = saved["uinteger"]
-    words[buffered:] = np.stack([raw & 0xFFFFFFFF, raw >> np.uint64(32)], 1).ravel()
-    size_at = (_lemire(words, mx)[0] + 1).tolist()
-    starts, pos = [], 0
-    for _ in range(count):
-        starts.append(pos)
-        pos += cost[size_at[pos]]
-    starts = np.array(starts, dtype=np.int64)
-    sizes = np.array(size_at, dtype=np.int64)[starts]
-    clean = _lemire(words[starts], mx)[1]
-    for k in range(1, mx + 1):
-        rows = np.flatnonzero(sizes == k)
-        W = words[starts[rows, None] + np.arange(cost[k])]
-        col = int(mx > 1)
-        idx = np.empty((rows.size, k), dtype=np.int64)
-        for t, j in enumerate(range(n - k, n)):  # Floyd: j, or a draw in [0, j]
-            val, ok = _lemire(W[:, col], j + 1)
-            col += j > 0
-            clean &= ok
-            idx[:, t] = np.where((idx[:, :t] == val[:, None]).any(axis=1), j, val)
-        at = np.arange(rows.size)
-        for i in range(k - 1, 0, -1):  # shuffle: swap i with a draw in [0, i]
-            swap, ok = _lemire(W[:, col], i + 1)
-            col += 1
-            clean &= ok
-            idx[at, i], idx[at, swap] = idx[at, swap], idx[at, i].copy()
-        vals, ok = _lemire(W[:, col:], q - 1)
-        clean &= ok
-        out[rows[:, None], idx] = vals + 1
-    bg.state = saved
-    if not clean:
-        out[:] = 0
-        return calls()
-    used = pos - buffered  # words of the raw draws
-    bg.advance((used + 1) // 2)
-    state = bg.state
-    state["has_uint32"], state["uinteger"] = used % 2, int(words[pos - 1 + used % 2])
-    bg.state = state
+    pos = np.argsort(u[:, 1 : n + 1], axis=1, kind="stable")[:, :m]
+    np.put_along_axis(out, pos, np.where(used, 1 + u[:, n + 1 :] % (q - 1), 0), axis=1)
     return out
 
 
 def _element_stream(RG: GroupRing, budget: Budget):
     """(blocks, mode): code-row blocks of the full counter order within
-    budget, else of stratified samples (see `_block_sizes`): small-support
-    rows (see `_stratum_rows`), then uniform rows drawn a whole block at a
-    time."""
+    budget, else of stratified samples (see `_block_sizes`): the
+    sample_count // 5 small-support rows of `_stratum_rows`, then uniform
+    rows drawn a whole block at a time, each block as its rows one by one."""
     card = RG.element_count()
     n = RG.group.order
     q = RG.ring.order

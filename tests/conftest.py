@@ -405,13 +405,18 @@ def reference_build_slc(ptype, k, k2=None, k3=None, abelian=()):
 
 
 def reference_stratum(rng, count, n, q):
-    """`count` small-support rows drawn one by one: a size, its positions,
-    then its nonzero codes."""
+    """`count` small-support rows drawn one by one, each from its own
+    1 + n + m words in [0, 2^62), m = min(4, n): a size from the first, the
+    positions of the smallest of the next n words (ties to the lower
+    position), then one nonzero code a position from the last m."""
+    m = min(4, n)
     out = np.zeros((count, n), dtype=np.int64)
     for row in out:
-        size = int(rng.integers(1, min(4, n) + 1))
-        pos = rng.choice(n, size=size, replace=False)
-        row[pos] = rng.integers(1, q, size=size)
+        u = [int(w) for w in rng.integers(0, 2**62, size=1 + n + m)]
+        size = 1 + u[0] % m
+        pos = sorted(range(n), key=lambda i: u[1 + i])[:size]
+        for p, w in zip(pos, u[n + 1 :]):
+            row[p] = 1 + w % (q - 1)
     return out
 
 

@@ -143,6 +143,23 @@ def test_sampled_element_stream_on_group_smaller_than_support_stratum():
     assert report["result"]["result"] is None
 
 
+def test_budget_zero_samples(capsys):
+    code = cli.main(
+        ["brute", "--group", "Q8", "--ring", "F3", "--property", "clean", "--budget", "0", "--json"]
+    )
+    out = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert out["result"]["mode"] == "sampled" and out["result"]["result"] is None
+
+
+@pytest.mark.parametrize("flag", ["--budget", "--seed"])
+def test_negative_budget_or_seed_exit_three(capsys, flag):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["brute", "--group", "Q8", "--ring", "F3", flag, "-1"])
+    assert err.value.code == 3
+    assert "non-negative integer" in capsys.readouterr().err
+
+
 def test_brute_clean_needs_no_involution():
     # C3 has no SLC presentation, so the default canonical involution does not exist
     job = cli.JobSpec(command="brute", group_spec="C3", ring_spec="F5", prop="clean")

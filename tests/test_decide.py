@@ -242,8 +242,8 @@ def test_block_scan_matches_element_by_element_reference(spec, ring, prop, invol
     assert rep.to_json() == ref.to_json()
     assert rep.counterexample == ref.counterexample
     if budget == Budget() and rep.mode == "sampled":
-        # a sampled structure set, and a scan that stops in its first blocks
-        assert not rep.structure_full and rep.tested <= 5
+        # a sampled structure set, and a scan that stops in its first two blocks
+        assert not rep.structure_full and rep.tested <= decide._FIRST_BLOCK * (1 + 4)
     if spec == "Q8xC2" and ring == "F3^3":
         # 27^8 values a half: above _CACHE_CAP, so the halves keep no table
         assert 27**8 > decide._CACHE_CAP and rep.mode == "sampled"
@@ -270,11 +270,10 @@ def test_sampled_stream_blocks_match_row_by_row_draws(spec, ring, count):
 @pytest.mark.parametrize(
     "n, q", [(1, 3), (2, 7), (3, 5), (8, 3), (16, 27), (48, 5), (8, 2**31 - 1), (8, 2**32 + 15)]
 )
-def test_stratum_rows_match_the_numpy_calls(n, q):
-    """The batched stratum gives the rows of the row-by-row calls and leaves
-    the generator in their state: for sizes up to n (Floyd's draw for j = 0
-    takes no word), from a generator holding half a 64-bit draw, and for a
-    range beyond 32 bits, which the calls themselves serve."""
+def test_stratum_rows_match_row_by_row_draws(n, q):
+    """The batched stratum gives the rows of the row-by-row draws and leaves
+    the generator in their state: for sizes up to n, from a generator
+    holding half a 64-bit draw, and for a range beyond 32 bits."""
     for seed, count in [(0, 0), (1, 0), (2, 1), (3, 40), (4, 300), (5, 300)]:
         want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         if seed % 2:
@@ -284,15 +283,14 @@ def test_stratum_rows_match_the_numpy_calls(n, q):
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
-def test_stratum_rows_in_the_redraw_zone_come_from_the_calls(monkeypatch):
-    """A word in numpy's redraw zone (every draw flagged here) sends the rows
-    through the numpy calls, with the same rows and generator state."""
-    lemire = decide._lemire
-    monkeypatch.setattr(decide, "_lemire", lambda words, r: (lemire(words, r)[0], False))
-    want_rng, got_rng = np.random.default_rng(9), np.random.default_rng(9)
-    want = reference_stratum(want_rng, 200, 8, 3)
-    assert np.array_equal(decide._stratum_rows(got_rng, 200, 8, 3), want)
-    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+@pytest.mark.parametrize("n, q", [(8, 3), (2, 7), (16, 5)])
+def test_stratum_rows_cover_every_size_code_and_position(n, q):
+    """Over 4,000 rows the support sizes are exactly 1..min(4, n), the
+    nonzero codes exactly 1..q-1, and every position is used."""
+    rows = decide._stratum_rows(np.random.default_rng(0), 4000, n, q)
+    assert set((rows != 0).sum(axis=1).tolist()) == set(range(1, min(4, n) + 1))
+    assert set(rows[rows != 0].tolist()) == set(range(1, q))
+    assert (rows != 0).any(axis=0).all()
 
 
 def _slc_carriers_up_to_16():
