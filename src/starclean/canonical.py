@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coeff import CoefficientRing, Payload
-from .errors import NotInFComponentError, PreconditionError
-from .groupring import GroupRing, GroupRingElement, candidate_rows
+from .errors import BudgetError, NotInFComponentError, PreconditionError
+from .groupring import GroupRing, GroupRingElement, commutative_idempotents
 from .groups import SLCStructure
 
 DEFAULT_F_BUDGET = 1 << 22
@@ -110,20 +110,14 @@ def is_symmetric_f(form: FCanonicalForm) -> bool:
 def f_projections(
     S: SLCStructure, R: CoefficientRing, budget: int = DEFAULT_F_BUDGET
 ) -> list[GroupRingElement]:
-    """All projections of (RG)f: the idempotent d(1-s) for d over the a^i K
-    span (i < m/2), in counter order of the d coefficients.  Exhaustive;
-    raises BudgetError when there are more than `budget` candidates."""
+    """All projections of (RG)f, the idempotents of R[Z(G)](1-s)/2, as d(1-s)
+    with d on the a^i K span (i < m/2), in counter order of the d
+    coefficients; BudgetError when there are more than `budget` candidates d."""
     RG = GroupRing(S.group, R)
-    dims = S.zsize // 2  # d sits on the even indices below |Z|, -d on their s-cosets
-
-    def scatter(vals: np.ndarray) -> np.ndarray:
-        out = np.zeros((vals.shape[0], S.group.order), dtype=np.int64)
-        # reversed columns: the stream's lexicographic order becomes counter
-        # order of the d coefficients
-        vals = vals[:, ::-1]
-        out[:, 0 : S.zsize : 2] = vals
-        out[:, 1 : S.zsize : 2] = R.vec.neg(vals)
-        return out
-
-    chunks, _ = candidate_rows(RG, scatter, dims, budget)
-    return [RG.from_coeffs(R.decode(int(c)) for c in row) for rows in chunks for row in rows]
+    dims, nz = S.zsize // 2, S.zsize  # d sits on the even indices below |Z|
+    if R.order is None or R.order**dims > budget:
+        raise BudgetError(f"|R|^{dims} candidates exceed budget {budget}")
+    rows = commutative_idempotents(S.group.mul[:nz, :nz], R, s=S.s)
+    # lexsort's primary key is its last: the first d coefficient runs fastest
+    rows = np.pad(rows[np.lexsort(rows[:, 0::2].T)], ((0, 0), (0, S.group.order - nz)))
+    return [RG.from_coeffs(R.decode(int(c)) for c in row) for row in rows]

@@ -145,16 +145,13 @@ def _maybe_explain(report: dict, gobj, ring, job: JobSpec) -> None:
 def run(job: JobSpec) -> tuple[int, dict]:
     """Execute a job; returns (exit_code, report)."""
     t_start = time.perf_counter()
+    if job.command == "levels":  # draws nothing, so takes and echoes no seed
+        level = coeff.level_classify_prime(job.prime)
+        label = {"2": "Level2", "4": "Level4", "2 or 4": "TwoOrFour"}[level.value]
+        return 0, {"command": job.command, "prime": job.prime, "level": level.value, "label": label}
+
     report: dict = {"command": job.command, "seed": job.seed}
     budget = dataclasses.replace(job.budget, seed=job.seed)
-
-    if job.command == "levels":
-        level = coeff.level_classify_prime(job.prime)
-        report.update({"prime": job.prime, "level": level.value})
-        label = {"2": "Level2", "4": "Level4", "2 or 4": "TwoOrFour"}[level.value]
-        report["label"] = label
-        return 0, report
-
     gobj = parse_group_spec(job.group_spec)
     ring = coeff.make_ring(job.ring_spec)
     G = gobj.group if isinstance(gobj, groups.SLCStructure) else gobj
@@ -351,7 +348,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("levels", help="level of Q(zeta_p) by residue class")
     p.add_argument("--prime", type=int, required=True)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--seed", type=_non_negative_int, default=0)
     return parser
 
 
@@ -386,7 +382,7 @@ def main(argv=None) -> int:
         involution=getattr(args, "involution", "canonical"),
         budget=Budget(full_scan_limit=getattr(args, "budget", Budget.full_scan_limit)),
         output_json=args.json,
-        seed=args.seed,
+        seed=getattr(args, "seed", 0),
         explain=getattr(args, "explain", False),
         prime=getattr(args, "prime", None),
         prop=getattr(args, "prop", "star-clean"),

@@ -33,6 +33,7 @@ from .groupring import (
     _regrep_index,
     candidate_rows,
     counter_digits,
+    projection_rows,
 )
 from .groups import (
     FiniteGroup,
@@ -83,9 +84,9 @@ class Budget:
 
     ``full_scan_limit`` caps exhaustive element scans (larger carriers get
     ``sample_count`` samples, the first ``sample_count // 5`` of support size
-    at most 4); ``structure_limit`` caps exhaustive idempotent/projection
-    precomputation, with the sampled fallback drawing ``structure_samples``
-    candidates plus the full low-index stratum of at most ``low_support_limit``.
+    at most 4); ``structure_limit`` caps the candidates of exhaustive idempotent
+    and projection sets, constructed ones too, with the sampled fallback drawing
+    ``structure_samples`` plus the low-index stratum of at most ``low_support_limit``.
     """
 
     full_scan_limit: int = 1 << 23
@@ -248,9 +249,15 @@ def _projection_rows(RG: GroupRing, sigma: InvolutionMap, budget: Budget):
 
     The orbits are sorted by smallest member, so lexicographic order of the
     orbit values is the sorted order of the scattered code rows: an
-    exhaustive stream comes out sorted and distinct, chunk after chunk.
+    exhaustive stream comes out sorted and distinct, chunk after chunk, as
+    does the one chunk of a constructed set.
     """
     orbits = sigma.orbits()
+    q = RG.ring.order
+    if q is not None and q ** len(orbits) <= budget.structure_limit:
+        rows = projection_rows(RG, sigma)
+        if rows is not None:
+            return iter([rows]), True
     orbit_of = np.empty(RG.group.order, dtype=np.int64)
     for i, orbit in enumerate(orbits):
         orbit_of[list(orbit)] = i
@@ -262,8 +269,10 @@ def projection_set(
 ) -> tuple[np.ndarray, bool]:
     """Projections of RG as sorted code rows, plus an exhaustiveness flag.
 
-    Candidates are restricted to the sigma-symmetric subspace (projections
-    satisfy alpha* = alpha, i.e. equal coefficients on each orbit of sigma).
+    Within the structure limit the canonical image gets the set by
+    construction (`groupring.projection_rows`); other carriers filter the
+    candidates of the sigma-symmetric subspace (equal coefficients on each
+    orbit of sigma, as projections satisfy alpha* = alpha).
     """
     chunks, full = _projection_rows(RG, sigma, budget)
     return _sorted_rows(chunks), full
@@ -443,13 +452,13 @@ def element_star_clean(
 ) -> Optional[witness_mod.StarCleanDecomposition]:
     """First decomposition of alpha in sorted projection order, or None.
 
-    Projections are computed chunk by chunk in the order of
+    Projections come chunk by chunk (one when constructed) in the order of
     :func:`projection_set`, and alpha minus each slice of them (growing as
     the blocks of a scan do, see `_block_sizes`, up to _KERNEL_CELLS cells
     of matrices) takes one batched unit test of the whole regular
     representation; the search stops at the first slice with a unit, so the
-    rest of the set is never built.  A sampled projection set is built whole
-    and sorted first.  A None is conclusive only when the projection set was
+    rest of a filtered set is never built.  A sampled set is built whole and
+    sorted first.  A None is conclusive only when the projection set was
     exhaustive; use :func:`projection_set` directly to check the flag.
     """
     RG = GroupRing(alpha.group, alpha.ring)

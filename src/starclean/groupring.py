@@ -1,6 +1,6 @@
 """Group-ring arithmetic RG with involution extension, idempotent/unit/
-projection predicates, and the one lexicographic candidate stream over code
-matrices.
+projection predicates, the one lexicographic candidate stream over code
+matrices, and projection sets by construction for the canonical image.
 
 Elements are dense coefficient tuples indexed by group element.  Unit
 testing goes through the left regular representation: alpha is a unit iff
@@ -266,6 +266,77 @@ def _half_index(G: FiniteGroup) -> Optional[tuple[np.ndarray, np.ndarray]]:
     Q = G.mul[::2, ::2]
     T = (Q // 2)[:, G.inverse[::2] // 2]
     return T, (Q % 2)[T, np.arange(n // 2)] == 1
+
+
+def _canonical_center(G: FiniteGroup, sigma: InvolutionMap) -> Optional[int]:
+    """|Z(G)| if G has the SLC index layout (`_half_index`), Z(G) leads the
+    indices and sigma has the canonical image (g for central g, else g*s,
+    index g XOR 1), else None.  Then RG = RGe + (RG)f as rings with
+    involution, the identity on RGe = R[G/<s>], conjugation on (RG)f."""
+    idx = np.arange(G.order)
+    central = (G.mul == G.mul.T).all(axis=1)
+    nz = int(central.sum())
+    canonical = np.array_equal(sigma.image, np.where(central, idx, idx ^ 1))
+    ok = canonical and central[:nz].all() and _half_index(G) is not None and sigma.check()
+    return nz if ok else None
+
+
+def _character_idempotents(mul: np.ndarray, R: CoefficientRing) -> tuple[np.ndarray, np.ndarray]:
+    """(E, cols) for the commutative R[A] of the table `mul`: the code rows
+    e_chi = |W|^-1 sum chi(w) w, one per sign character chi of the elements
+    W of order <= 2, orthogonal idempotents summing to 1 (2 is a unit of R);
+    cols[i, j] = t_i w_j, t_i the least of the i-th coset of W.  R[A]e_chi
+    is the span of the t_i e_chi, with coefficient e_chi(w_j) at cols[i, j]."""
+    W = [0]
+    for w in np.flatnonzero(mul.diagonal() == 0).tolist():
+        if w not in W:  # W[j] is the product of the w picked at the bits of j
+            W += mul[W, w].tolist()
+    bits = np.arange(len(W))
+    odd = np.bitwise_count(bits[:, None] & bits) % 2  # chi_i(W[j]) = (-1)^odd
+    scale = R.encode(R.pow(R.half, len(W).bit_length() - 1))
+    E = np.zeros((len(W), mul.shape[0]), dtype=np.int64)
+    E[:, W] = np.where(odd, R.vec.neg(scale), scale)
+    return E, mul[np.ix_(np.unique(mul[:, W].min(axis=1)), W)]
+
+
+def commutative_idempotents(
+    mul: np.ndarray, R: CoefficientRing, s: Optional[int] = None
+) -> np.ndarray:
+    """The idempotents of the commutative R[A] of the table `mul` (identity
+    0) as code rows, unsorted; with `s`, those of R[A](1 - s)/2.  Each sums
+    one idempotent per component R[A]e_chi (`_character_idempotents`; e_chi
+    s = -e_chi if `s` is given), found by the candidate filter over |A/W|."""
+    n = mul.shape[0]
+    RA = GroupRing(FiniteGroup(n, mul, np.argmax(mul == 0, axis=1), 0, ("",) * n), R)
+    E, cols = _character_idempotents(mul, R)
+    out = np.zeros((1, n), dtype=np.int64)
+    for e in E:
+        if s is not None and e[s] == e[0]:
+            continue
+
+        def scatter(vals: np.ndarray, e=e[cols[0]]) -> np.ndarray:
+            C = np.zeros((vals.shape[0], n), dtype=np.int64)
+            C[:, cols] = R.vec.mul(vals[:, :, None], e)
+            return C
+
+        chunks, _ = candidate_rows(RA, scatter, cols.shape[0], R.order ** cols.shape[0])
+        out = R.vec.add(out[:, None], np.concatenate(list(chunks))[None]).reshape(-1, n)
+    return out
+
+
+def projection_rows(RG: GroupRing, sigma: InvolutionMap) -> Optional[np.ndarray]:
+    """The projections of RG as sorted code rows, built from the two sides
+    when `_canonical_center` applies (else None): y*e for each idempotent y
+    of R[G/<s>], y/2 on both indices of each pair, plus eps*f = eps for each
+    idempotent eps of R[Z(G)](1 - s)/2."""
+    G, R = RG.group, RG.ring
+    nz = _canonical_center(G, sigma)
+    if nz is None:
+        return None
+    Y = commutative_idempotents(G.mul[::2, ::2] // 2, R)
+    E = np.repeat(R.vec.mul(Y, R.encode(R.half)), 2, axis=1)
+    F = np.pad(commutative_idempotents(G.mul[:nz, :nz], R, s=1), ((0, 0), (0, G.order - nz)))
+    return np.unique(R.vec.add(E[:, None], F[None]).reshape(-1, G.order), axis=0)
 
 
 def regular_representation(alpha: GroupRingElement) -> list[list[Payload]]:

@@ -183,6 +183,16 @@ def test_levels_17(capsys):
     assert out["label"] == "TwoOrFour"
 
 
+def test_levels_takes_no_seed(capsys):
+    # levels draws nothing: --seed is a parse error, and the report echoes none
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["levels", "--prime", "23", "--seed", "5"])
+    assert exc.value.code == 3
+    capsys.readouterr()
+    assert cli.main(["levels", "--prime", "23", "--json"]) == 0
+    assert "seed" not in json.loads(capsys.readouterr().out)
+
+
 def test_witness_command(capsys):
     code = cli.main(["witness", "--group", "Q8xC4", "--ring", "F3", "--json"])
     out = json.loads(capsys.readouterr().out)

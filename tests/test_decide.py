@@ -474,11 +474,96 @@ def test_exhaustive_projection_stream_is_sorted_and_distinct(spec, ring, involut
     assert np.array_equal(rows, np.unique(rows, axis=0))
 
 
+_SLC_UP_TO_16 = [
+    "D1[k=1]", "D1[k=1]xC2", "D1[k=2]", "Q8", "Q8xC2", "D2[k=2]",
+    "D3[k=1,k2=1]", "D4[k=1,k2=1]",
+]
+
+
+def _orbit_filter(RG, sigma, budget):
+    """The candidate filter over the sigma-symmetric subspace, the path of
+    every involution without the canonical image."""
+    orbits = sigma.orbits()
+    orbit_of = np.empty(RG.group.order, dtype=np.int64)
+    for i, orbit in enumerate(orbits):
+        orbit_of[list(orbit)] = i
+    chunks, full = decide._structure_rows(
+        RG, lambda vals: np.take(vals, orbit_of, axis=1), len(orbits), budget
+    )
+    return np.unique(np.concatenate(list(chunks)), axis=0), full
+
+
+@pytest.mark.parametrize(
+    "spec,ring,involution,limit",
+    [(spec, "F3", "canonical", None) for spec in _SLC_UP_TO_16]
+    + [
+        (spec, ring, "canonical", None)
+        for spec in ("Q8", "D1[k=1]")
+        for ring in ("F5", "Z/9", "F7", "F3^2")
+    ]
+    + [
+        ("Q8", "F3", "classical", None),
+        ("Q8xC2", "F3", "classical", None),
+        ("Q8", "Z/15", "canonical", 10**6),
+    ],
+)
+def test_constructed_projection_set_matches_orbit_filter(spec, ring, involution, limit):
+    RG, sigma = _carrier(spec, ring, involution)
+    budget = Budget() if limit is None else Budget(structure_limit=limit)
+    built = gr.projection_rows(RG, sigma)
+    assert built is not None
+    oracle, oracle_full = _orbit_filter(RG, sigma, budget)
+    assert oracle_full and np.array_equal(built, oracle)
+    rows, full = decide.projection_set(RG, sigma, budget)
+    assert full and np.array_equal(rows, oracle)
+
+
+@pytest.mark.parametrize(
+    "spec,ring", [("Q8xC2", "F3"), ("D1[k=2]", "Z/15"), ("D2[k=2]xC3", "F3^2"), ("C3xC2", "F5")]
+)
+def test_character_idempotents_are_orthogonal_and_sum_to_one(spec, ring):
+    RG, _ = _carrier(spec, ring, "classical")
+    G, R = RG.group, RG.ring
+    mul = G.mul if G.is_abelian() else G.mul[::2, ::2] // 2  # else G/<s>
+    n = mul.shape[0]
+    RA = gr.GroupRing(groups.FiniteGroup(n, mul, np.argmax(mul == 0, axis=1), 0, ("",) * n), R)
+    E, cols = gr._character_idempotents(mul, R)
+    assert np.array_equal(np.sort(cols.ravel()), np.arange(n))  # the cosets tile A
+    for i, e in enumerate(E):
+        products = gr.batch_convolve(RA, np.repeat(e[None], E.shape[0], axis=0), E)
+        expected = np.zeros_like(E)
+        expected[i] = e
+        assert np.array_equal(products, expected)
+    total = E[0]
+    for e in E[1:]:
+        total = R.vec.add(total, e)
+    assert np.array_equal(total, np.eye(1, n, dtype=np.int64)[0])
+
+
+@pytest.mark.parametrize(
+    "spec,ring,involution,size,full",
+    [
+        ("D2[k=2]", "F3", "classical", 512, True),  # not the canonical image
+        ("C3xC2", "F5", "classical", 16, True),  # no SLC index layout
+        ("Q8xC2", "F5", "canonical", 24, False),  # 5^10 candidates: sampled
+    ],
+)
+def test_other_carriers_keep_the_orbit_filter(spec, ring, involution, size, full):
+    RG, sigma = _carrier(spec, ring, involution)
+    rows, flag = decide.projection_set(RG, sigma)
+    assert (rows.shape[0], flag) == (size, full)
+    oracle, oracle_full = _orbit_filter(RG, sigma, Budget())
+    assert oracle_full == full and np.array_equal(rows, oracle)
+    if involution == "classical":
+        assert gr.projection_rows(RG, sigma) is None
+
+
 def test_candidate_stream_enumerates_one_block_per_chunk(monkeypatch):
-    """Q8/F13 classical has 13^5 = 371,293 candidate projections; the first
-    chunk of the stream enumerates one block of _CONVOLVE_CELLS // |G| values
-    and no more, and the call itself enumerates nothing."""
-    RG, sigma = _carrier("Q8", "F13", "classical")
+    """C3xC2/F13 classical has 13^4 = 28,561 candidate projections, and no
+    SLC index layout, so they stream; the first chunk of the stream
+    enumerates one block of _CONVOLVE_CELLS // |G| values and no more, and
+    the call itself enumerates nothing."""
+    RG, sigma = _carrier("C3xC2", "F13", "classical")
     digits = gr.counter_digits
     enumerated = []
 
