@@ -115,7 +115,9 @@ def f_projections(
     coefficients; BudgetError when there are more than `budget` candidates d."""
     RG = GroupRing(S.group, R)
     dims, nz = S.zsize // 2, S.zsize  # d sits on the even indices below |Z|
-    if R.order is None or R.order**dims > budget:
+    if R.order is None:
+        raise BudgetError(f"{R!r} is infinite; its projections cannot be enumerated")
+    if R.order**dims > budget:
         raise BudgetError(f"|R|^{dims} candidates exceed budget {budget}")
     rows = commutative_idempotents(S.group.mul[:nz, :nz], R, s=S.s)
     # lexsort's primary key is its last: the first d coefficient runs fastest

@@ -57,20 +57,33 @@ class JobSpec:
     include_clean: Optional[bool] = None
 
 
+def _json_object(text: str, what: str) -> dict:
+    """The JSON object `text`; ParseError for invalid JSON or another value."""
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(value, dict):
+        raise ParseError(f"{what} must be a JSON object, got {text!r}")
+    return value
+
+
 def parse_group_spec(text: str) -> groups.FiniteGroup | groups.SLCStructure:
     """Parse a group spec string (compact grammar or JSON object)."""
     text = text.strip()
     if text.startswith("{"):
-        cfg = json.loads(text)
+        cfg = _json_object(text, "group spec")
+        k, k2, k3, abelian = cfg.get("k", 1), cfg.get("k2"), cfg.get("k3"), cfg.get("abelian", [])
+        if "type" in cfg and cfg["type"] not in [p.value for p in groups.Presentation]:
+            raise ParseError(f"unknown presentation type {cfg['type']!r}")
+        if not isinstance(abelian, list):
+            raise ParseError(f"abelian must be a list of integers, got {abelian!r}")
+        for key, value in [("k", k), ("k2", k2), ("k3", k3), *(("abelian", f) for f in abelian)]:
+            if type(value) is not int and (value is not None or key not in ("k2", "k3")):
+                raise ParseError(f"{key} must be an integer, got {value!r}")
         if "type" in cfg:
-            return groups.build_slc(
-                groups.Presentation(cfg["type"]),
-                cfg.get("k", 1),
-                cfg.get("k2"),
-                cfg.get("k3"),
-                tuple(cfg.get("abelian", [])),
-            )
-        return groups.build_abelian(tuple(cfg.get("abelian", [])))
+            return groups.build_slc(groups.Presentation(cfg["type"]), k, k2, k3, tuple(abelian))
+        return groups.build_abelian(tuple(abelian))
     d_atom = None
     abelian: list[int] = []
     pos = 0
@@ -161,7 +174,7 @@ def run(job: JobSpec) -> tuple[int, dict]:
     report["ring"] = ring.spec_string()
 
     if job.command == "decide":
-        verdict = decide.decide_star_clean(gobj, ring, budget)
+        verdict = decide.decide_star_clean(gobj, ring)
         report["verdict"] = verdict.to_json()
         report["certificates"] = verdict.certificates
         _maybe_explain(report, gobj, ring, job)
@@ -227,7 +240,10 @@ def run(job: JobSpec) -> tuple[int, dict]:
         out: dict = {}
         if job.element:
             RG = groupring.GroupRing(G, ring)
-            raw = json.loads(job.element)
+            raw = _json_object(job.element, "--element")
+            unknown = sorted(set(raw) - set(G.names))
+            if unknown:
+                raise ParseError(f"--element names no element of {report['group']}: {unknown}")
             alpha = RG.from_dict({k: ring.parse(str(v)) for k, v in raw.items()})
             form = canonical_mod.decompose_f(gobj, alpha)
             out["form"] = form.to_dict()

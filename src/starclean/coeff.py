@@ -210,6 +210,17 @@ def _parse_error(R: CoefficientRing, text: str) -> ParseError:
 _TERM_RE = re.compile(r"([+-]?)(?:(?:(\d+(?:/\d+)?)\*)?([a-z])(?:\^(\d+))?|(\d+(?:/\d+)?))")
 
 
+def _fmt_poly(coords, var: str) -> str:
+    """The nonzero terms c*var^i of ascending coordinates, highest power
+    first, joined by their signs: the form `_parse_poly` reads."""
+    terms = []
+    for i in range(len(coords) - 1, -1, -1):
+        c, base = coords[i], var if i == 1 else f"{var}^{i}"
+        if c:
+            terms.append(str(c) if i == 0 else {1: base, -1: f"-{base}"}.get(c, f"{c}*{base}"))
+    return "+".join(terms).replace("+-", "-") if terms else "0"
+
+
 def _parse_poly(R: CoefficientRing, text: str, var: str, degree: int) -> list[Fraction]:
     """Ascending coordinates of a sum of terms in the variable `var` of
     powers below `degree`, the form `fmt` writes polynomial payloads in."""
@@ -491,20 +502,7 @@ class FiniteField(_CodeRing):
         )
 
     def fmt(self, a):
-        if self.k == 1:
-            return str(a)
-        digs = self.digits(a)
-        terms = []
-        for i in range(self.k - 1, -1, -1):
-            c = digs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                base = "w" if i == 1 else f"w^{i}"
-                terms.append(base if c == 1 else f"{c}*{base}")
-        return "+".join(terms) if terms else "0"
+        return str(a) if self.k == 1 else _fmt_poly(self.digits(a), "w")
 
     def parse(self, text):
         if self.k == 1:
@@ -697,22 +695,7 @@ class CyclotomicField(CoefficientRing):
         return out
 
     def fmt(self, a):
-        terms = []
-        for i in range(self.degree - 1, -1, -1):
-            c = a[i]
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            else:
-                base = "z" if i == 1 else f"z^{i}"
-                if c == 1:
-                    terms.append(base)
-                elif c == -1:
-                    terms.append(f"-{base}")
-                else:
-                    terms.append(f"{c}*{base}")
-        return "+".join(terms).replace("+-", "-") if terms else "0"
+        return _fmt_poly(a, "z")
 
     def parse(self, text):
         return tuple(_parse_poly(self, text, "z", self.degree))

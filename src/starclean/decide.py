@@ -6,12 +6,11 @@ X^2+Y^2+Z^2+1 = 0) plus the field-coefficient biconditional into Verdicts
 with citation-tagged reasons and machine-checked certificates.  The brute
 side enumerates or samples RG directly, in blocks of elements: each block
 meets the structure rows slice by slice, and on a small RG an element
-sampled twice is decided once.  Its unit tests run on the halves
-alpha*e and alpha*f of |G|/2 dims (one block of |G| dims for a group
-without the SLC index layout), each with a per-scan status table exact on
-its base-q values, and the rows no table knows take one batched
-elimination per half (`_linalg`).  Cross-validation compares the two sides
-and raises on any disagreement.
+sampled twice is decided once.  Its unit tests take the halves of
+`groupring.unit_halves` and keep a per-scan status table per half, exact on
+its base-q values; the rows no table knows go to the halves' batched
+elimination.  Cross-validation compares the two sides and raises on any
+disagreement.
 """
 
 from __future__ import annotations
@@ -23,17 +22,19 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import _linalg, coeff, numtheory, witness as witness_mod
+from . import coeff, numtheory, witness as witness_mod
 from .coeff import CoefficientRing, FiniteField, RationalField
 from .errors import CharDividesError, DiscrepancyError, PreconditionError
 from .groupring import (
     GroupRing,
     GroupRingElement,
-    _half_index,
-    _regrep_index,
+    Half,
     candidate_rows,
     counter_digits,
+    half_units,
     projection_rows,
+    unit_halves,
+    unit_mask,
 )
 from .groups import (
     FiniteGroup,
@@ -139,8 +140,6 @@ _FIRST_BLOCK = 4
 _MAX_BLOCK = 8192
 # candidates per batched unit test once few elements of a block are undecided
 _SLICE_CANDIDATES = 256
-# int64 cells of the stacked GF(p)-matrices per kernel call: bounded memory
-_KERNEL_CELLS = 1 << 16
 # status table entries
 _UNKNOWN, _YES, _NO = 0, 1, 2
 
@@ -154,67 +153,28 @@ def _status_table(q: int, dims: int):
     return np.zeros(q**dims, dtype=np.int8), q ** np.arange(dims, dtype=np.int64)
 
 
-class _Half:
-    """One half of the unit test: alpha*e (sign 1) or alpha*f (sign -1) on
-    the SLC index layout, else alpha itself (sign 0); see
-    `groupring._half_index`.  `T` indexes the regular representation into a
-    half row, or for alpha*f into the row [x, -x].  `table` holds the unit
-    status of each base-q value seen so far, when there are at most
-    _CACHE_CAP values."""
-
-    def __init__(self, sign: int, T: np.ndarray, q: int):
-        self.sign = sign
-        self.T = T
-        self.table, self.weights = _status_table(q, T.shape[0])
-
-    def rows(self, vec, codes: np.ndarray) -> np.ndarray:
-        if not self.sign:
-            return codes
-        odd = codes[:, 1::2]
-        return vec.add(codes[:, 0::2], odd if self.sign > 0 else vec.neg(odd))
-
-    def units(self, ring, rows: np.ndarray) -> np.ndarray:
-        """Unit mask of half rows by batched elimination, in stacks of at
-        most _KERNEL_CELLS cells (after the GF(p^k) expansion over GF(p))."""
-        if self.sign < 0:
-            rows = np.concatenate([rows, ring.vec.neg(rows)], axis=1)
-        step = max(1, _KERNEL_CELLS // (self.T.size * getattr(ring, "k", 1) ** 2))
-        return np.concatenate([
-            _linalg.is_invertible_codes(ring, rows[i : i + step][:, self.T])
-            for i in range(0, rows.shape[0], step)
-        ])
-
-
-def _halves(RG: GroupRing) -> list[_Half]:
-    """A fresh unit test's halves: alpha is a unit iff alpha*e is a unit of
-    RGe = R[G/<s>] and alpha*f one of (RG)f, as 2 is a unit of R."""
-    q = RG.ring.order
-    split = _half_index(RG.group)
-    if split is None:
-        return [_Half(0, _regrep_index(RG.group), q)]
-    T, neg = split
-    return [_Half(1, T, q), _Half(-1, T + T.shape[0] * neg, q)]
-
-
-def _is_unit_codes(RG: GroupRing, halves: list[_Half], rows: list[np.ndarray]) -> np.ndarray:
-    """Unit mask of elements given by their rows in each half (see
-    `_halves`).  A half's status comes from its table where it has one; the
-    rows it leaves unknown whose other half is not known to be a non-unit
-    take, deduplicated, one batched elimination per half."""
-    keys = [r if h.table is None else r @ h.weights for h, r in zip(halves, rows)]
+def _is_unit_codes(
+    R: CoefficientRing, halves: list[Half], tables: list, rows: list[np.ndarray]
+) -> np.ndarray:
+    """Unit mask of elements given by their rows in each of the `halves`
+    (`groupring.unit_halves`), with `tables` the halves' per-scan status
+    tables (`_status_table`).  A half's status comes from its table where it
+    has one; the rows it leaves unknown whose other half is not known to be a
+    non-unit take, deduplicated, one batched elimination per half."""
+    keys = [r if t is None else r @ w for (t, w), r in zip(tables, rows)]
     status = np.array([
-        np.zeros(k.shape[0], dtype=np.int8) if h.table is None else h.table[k]
-        for h, k in zip(halves, keys)
+        np.zeros(k.shape[0], dtype=np.int8) if t is None else t[k]
+        for (t, _), k in zip(tables, keys)
     ])
-    for i, h in enumerate(halves):
+    for i, (h, (table, _)) in enumerate(zip(halves, tables)):
         todo = np.flatnonzero((status[i] == _UNKNOWN) & (status != _NO).all(axis=0))
         if not todo.size:
             continue
         _, first, at = np.unique(keys[i][todo], axis=0, return_index=True, return_inverse=True)
-        fresh = np.where(h.units(RG.ring, rows[i][todo[first]]), _YES, _NO).astype(np.int8)
+        fresh = np.where(half_units(R, [h], [rows[i][todo[first]]]), _YES, _NO).astype(np.int8)
         status[i, todo] = fresh[at.ravel()]
-        if h.table is not None:
-            h.table[keys[i][todo[first]]] = fresh
+        if table is not None:
+            table[keys[i][todo[first]]] = fresh
     return (status == _YES).all(axis=0)
 
 
@@ -361,7 +321,8 @@ def _scan(
     kind = "projection" if property == "star-clean" else "idempotent"
     size = structure_rows.shape[0]
     vec = RG.ring.vec
-    halves = _halves(RG)
+    halves = unit_halves(RG.group)
+    tables = [_status_table(RG.ring.order, h.T.shape[0]) for h in halves]
     neg_parts = [h.rows(vec, vec.neg(structure_rows)) for h in halves]
 
     def stuck(rows: np.ndarray) -> np.ndarray:
@@ -376,7 +337,7 @@ def _scan(
                 for part, neg in zip(parts, neg_parts)
             ]
             start = stop
-            units = _is_unit_codes(RG, halves, cands).reshape(undecided.size, -1)
+            units = _is_unit_codes(RG.ring, halves, tables, cands).reshape(undecided.size, -1)
             undecided = undecided[~units.any(axis=1)]
         return np.isin(np.arange(rows.shape[0]), undecided)
 
@@ -400,28 +361,12 @@ def _scan(
         alpha = RG.from_coeffs(RG.ring.decode(int(c)) for c in block[first_no])
         if structure_full:
             return BruteReport(property, False, alpha, mode, tested, size, True)
-        return BruteReport(
-            property,
-            None,
-            alpha,
-            mode,
-            tested,
-            size,
-            False,
-            notes=[f"undecomposed element found, but {kind} set is sampled"],
-        )
+        note = f"undecomposed element found, but {kind} set is sampled"
+        return BruteReport(property, None, alpha, mode, tested, size, False, notes=[note])
     if mode == "full":
         return BruteReport(property, True, None, mode, tested, size, structure_full)
-    return BruteReport(
-        property,
-        None,
-        None,
-        mode,
-        tested,
-        size,
-        structure_full,
-        notes=["sampled scan: no counterexample in samples"],
-    )
+    note = "sampled scan: no counterexample in samples"
+    return BruteReport(property, None, None, mode, tested, size, structure_full, notes=[note])
 
 
 def brute_star_clean(
@@ -453,13 +398,13 @@ def element_star_clean(
     """First decomposition of alpha in sorted projection order, or None.
 
     Projections come chunk by chunk (one when constructed) in the order of
-    :func:`projection_set`, and alpha minus each slice of them (growing as
-    the blocks of a scan do, see `_block_sizes`, up to _KERNEL_CELLS cells
-    of matrices) takes one batched unit test of the whole regular
-    representation; the search stops at the first slice with a unit, so the
-    rest of a filtered set is never built.  A sampled set is built whole and
-    sorted first.  A None is conclusive only when the projection set was
-    exhaustive; use :func:`projection_set` directly to check the flag.
+    :func:`projection_set`, and alpha minus each slice of a chunk (growing
+    as the blocks of a scan do, see `_block_sizes`) takes one batched unit
+    test on the halves (`groupring.unit_mask`); the search stops at the
+    first slice with a unit, so the rest of a filtered set is never built.
+    A sampled set is built whole and sorted first.  A None is conclusive
+    only when the projection set was exhaustive; use :func:`projection_set`
+    directly to check the flag.
     """
     RG = GroupRing(alpha.group, alpha.ring)
     chunks, full = _projection_rows(RG, sigma, budget)
@@ -467,16 +412,12 @@ def element_star_clean(
         chunks = [_sorted_rows(chunks)]
     R = alpha.ring
     codes = np.array([R.encode(c) for c in alpha.coeffs], dtype=np.int64)
-    T = _regrep_index(RG.group)
-    cap = max(1, _KERNEL_CELLS // (T.size * getattr(R, "k", 1) ** 2))
-    sizes = _block_sizes()
+    halves = unit_halves(RG.group)
     for projs in chunks:
-        start = 0
-        while start < projs.shape[0]:
-            rows = projs[start : start + min(next(sizes), cap)]
-            start += rows.shape[0]
+        for a, b in _block_bounds(projs.shape[0]):
+            rows = projs[a:b]
             cands = R.vec.add(codes, R.vec.neg(rows))
-            units = np.flatnonzero(_linalg.is_invertible_codes(R, cands[:, T]))
+            units = np.flatnonzero(unit_mask(R, halves, cands))
             if units.size:
                 i = int(units[0])
                 q_el = RG.from_coeffs(R.decode(int(c)) for c in rows[i])
@@ -499,9 +440,7 @@ _CASE_CITATION = {
 }
 
 
-def necessary_conditions(
-    S: SLCStructure, R: CoefficientRing, budget: Budget = DEFAULT_BUDGET
-) -> Verdict:
+def necessary_conditions(S: SLCStructure, R: CoefficientRing) -> Verdict:
     """The four necessary checks in order: G = Q8 x A, no order-4 element of
     A, no excluded-prime element of A, equation unsolvable in R.  Failures
     come with the matching constructive witness."""
@@ -655,11 +594,7 @@ def theorem_c_decide(fields: Sequence[CoefficientRing], A: FiniteGroup) -> Verdi
     return Verdict(Status.STAR_CLEAN, reasons, certs)
 
 
-def decide_star_clean(
-    S: SLCStructure | FiniteGroup,
-    R: CoefficientRing,
-    budget: Budget = DEFAULT_BUDGET,
-) -> Verdict:
+def decide_star_clean(S: SLCStructure | FiniteGroup, R: CoefficientRing) -> Verdict:
     """Full theory-side verdict for RG with the canonical involution."""
     if isinstance(S, FiniteGroup):
         return Verdict(
@@ -672,7 +607,7 @@ def decide_star_clean(
                 )
             ],
         )
-    nec = necessary_conditions(S, R, budget)
+    nec = necessary_conditions(S, R)
     if nec.status is Status.NOT_STAR_CLEAN:
         return nec
     if not S.is_q8_type():
@@ -747,7 +682,7 @@ def cross_validate(
     theory = None
     t0 = time.perf_counter()
     if is_canonical:
-        theory = decide_star_clean(S, R, budget)
+        theory = decide_star_clean(S, R)
     timings["theory_s"] = round(time.perf_counter() - t0, 6)
 
     t0 = time.perf_counter()

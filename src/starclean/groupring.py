@@ -1,16 +1,16 @@
 """Group-ring arithmetic RG with involution extension, idempotent/unit/
-projection predicates, the one lexicographic candidate stream over code
-matrices, and projection sets by construction for the canonical image.
+projection predicates, the one unit test and the one lexicographic
+candidate stream on code rows, and projection sets by construction.
 
-Elements are dense coefficient tuples indexed by group element.  Unit
-testing goes through the left regular representation: alpha is a unit iff
-its |G| x |G| matrix is invertible over R.  Over a finite ring the matrix is
-an int64 code matrix, and `is_unit` and `unit_inverse` hand it to the
-batched elimination of `_linalg` as a stack of one, the same kernel that
-the brute-force scan feeds whole stacks of the representations of the e/f
-halves (`_half_index`); over Q and Q(zeta_d) it is
-eliminated on payloads.  Batched products of code rows (`batch_convolve`)
-are one gathered integer contraction, reduced once.
+Elements are dense coefficient tuples indexed by group element.  alpha is
+a unit iff its left regular representation is invertible over R.  Over a
+finite ring every unit test runs on code rows through `unit_halves`: on a
+group with the SLC index layout the e/f halves alpha*e and alpha*f, two
+|G|/2 representations (`_half_index`), else one block of |G|, each
+eliminated in batched stacks (`_linalg`).  `is_unit`, the scan and the
+single-element search of `decide` all share it.  Over Q and Q(zeta_d) the
+whole representation is eliminated on payloads.  Batched products of code
+rows (`batch_convolve`) are one gathered integer contraction, reduced once.
 """
 
 from __future__ import annotations
@@ -244,18 +244,17 @@ def _regrep_index(G: FiniteGroup) -> np.ndarray:
     return G.mul[:, G.inverse]
 
 
-def _half_index(G: FiniteGroup) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """Regular-representation indices of the halves RGe and (RG)f, e and f =
-    (1 +- s)/2, for a group with the SLC index layout: identity 0 and index
-    1 a central involution s with g*s = s*g = g XOR 1 (see `groups`); None
-    for any other group.
+def _half_index(G: FiniteGroup) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Tables of the halves RGe and (RG)f, e and f = (1 +- s)/2, for a group
+    with the SLC index layout: identity 0 and index 1 a central involution s
+    with g*s = s*g = g XOR 1 (see `groups`); None for any other group.
 
     Over the cosets t of <s> (index pairs 2t, 2t+1), alpha*e is the element
-    y = c[0::2] + c[1::2] of R[G/<s>], whose table is mul[::2, ::2] // 2, and
-    alpha*f is x = c[0::2] - c[1::2] in the basis (2t)f.  There (2t)f * (2h)f
-    is the basis element of the coset of (2t)(2h), negated when (2t)(2h) is
-    odd, as s f = -f.  Returns (T, neg), T[k, h] = k * h^-1 in G/<s>: the
-    representations are y[T], and x[T] negated where neg holds.
+    y = c[0::2] + c[1::2] of R[G/<s>], whose table is Q = mul[::2, ::2] // 2,
+    and alpha*f is x = c[0::2] - c[1::2] in the basis (2t)f.  There (2t)f *
+    (2h)f is the basis element of the coset of (2t)(2h), negated when
+    (2t)(2h) is odd, as s f = -f.  Returns (Q, T, neg), T[k, h] = k * h^-1
+    in G/<s>: the representations are y[T], and x[T] negated where neg holds.
     """
     n = G.order
     flip = np.arange(n) ^ 1
@@ -265,7 +264,73 @@ def _half_index(G: FiniteGroup) -> Optional[tuple[np.ndarray, np.ndarray]]:
         return None
     Q = G.mul[::2, ::2]
     T = (Q // 2)[:, G.inverse[::2] // 2]
-    return T, (Q % 2)[T, np.arange(n // 2)] == 1
+    return Q // 2, T, (Q % 2)[T, np.arange(n // 2)] == 1
+
+
+# int64 cells of the stacked GF(p)-matrices per elimination: bounded memory
+_KERNEL_CELLS = 1 << 16
+
+
+class Half:
+    """One half of the unit test on code rows.  On a group with the SLC
+    index layout (`_half_index`) alpha is a unit iff alpha*e is one of RGe =
+    R[G/<s>] (sign 1) and alpha*f one of (RG)f (sign -1), as 2 is a unit of
+    R; any other group has one half, alpha itself (sign 0).  `table` is the
+    group table of the half's basis, G/<s> or G, and `T` indexes a half row
+    into its regular representation, for alpha*f the row [x, -x]."""
+
+    def __init__(self, sign: int, table: np.ndarray, T: np.ndarray):
+        self.sign, self.table, self.T = sign, table, T
+
+    def rows(self, vec, codes: np.ndarray) -> np.ndarray:
+        """The half rows of code rows: c[0::2] +- c[1::2], or the codes."""
+        if not self.sign:
+            return codes
+        odd = codes[:, 1::2]
+        return vec.add(codes[:, 0::2], odd if self.sign > 0 else vec.neg(odd))
+
+    def scatter(self, R: CoefficientRing, rows: np.ndarray) -> np.ndarray:
+        """The code rows of RG inside this half with these half rows: y*e
+        is y/2 on both indices of each pair, x*f is x/2 and -x/2."""
+        if not self.sign:
+            return rows
+        half = R.vec.mul(rows, R.encode(R.half))
+        pair = [half, half if self.sign > 0 else R.vec.neg(half)]
+        return np.stack(pair, axis=2).reshape(rows.shape[0], -1)
+
+    def representations(self, R: CoefficientRing, rows: np.ndarray) -> np.ndarray:
+        """The regular representations of half rows, a stack of code matrices."""
+        if self.sign < 0:
+            rows = np.concatenate([rows, R.vec.neg(rows)], axis=1)
+        return rows[:, self.T]
+
+
+def half_units(R: CoefficientRing, halves: list[Half], rows: list[np.ndarray]) -> np.ndarray:
+    """Mask of the elements that are units on every half, given their half
+    rows `rows[j]` on `halves[j]`: the halves' representations eliminate as
+    one batched stack, in stacks of at most _KERNEL_CELLS cells (after the
+    GF(p^k) expansion over GF(p))."""
+    step = max(1, _KERNEL_CELLS // (len(halves) * halves[0].T.size * getattr(R, "k", 1) ** 2))
+    return np.concatenate([
+        _linalg.is_invertible_codes(
+            R, np.concatenate([h.representations(R, r[i : i + step]) for h, r in zip(halves, rows)])
+        ).reshape(len(halves), -1).all(axis=0)
+        for i in range(0, rows[0].shape[0], step)
+    ])
+
+
+def unit_halves(G: FiniteGroup) -> list[Half]:
+    """G's halves: alpha*e and alpha*f on the SLC index layout, else alpha."""
+    split = _half_index(G)
+    if split is None:
+        return [Half(0, G.mul, _regrep_index(G))]
+    Q, T, neg = split
+    return [Half(1, Q, T), Half(-1, Q, T + T.shape[0] * neg)]
+
+
+def unit_mask(R: CoefficientRing, halves: list[Half], codes: np.ndarray) -> np.ndarray:
+    """Unit mask of code rows of RG over a finite R: a unit on every half."""
+    return half_units(R, halves, [h.rows(R.vec, codes) for h in halves])
 
 
 def _canonical_center(G: FiniteGroup, sigma: InvolutionMap) -> Optional[int]:
@@ -333,8 +398,8 @@ def projection_rows(RG: GroupRing, sigma: InvolutionMap) -> Optional[np.ndarray]
     nz = _canonical_center(G, sigma)
     if nz is None:
         return None
-    Y = commutative_idempotents(G.mul[::2, ::2] // 2, R)
-    E = np.repeat(R.vec.mul(Y, R.encode(R.half)), 2, axis=1)
+    e = unit_halves(G)[0]
+    E = e.scatter(R, commutative_idempotents(e.table, R))
     F = np.pad(commutative_idempotents(G.mul[:nz, :nz], R, s=1), ((0, 0), (0, G.order - nz)))
     return np.unique(R.vec.add(E[:, None], F[None]).reshape(-1, G.order), axis=0)
 
@@ -349,19 +414,17 @@ def regular_representation(alpha: GroupRingElement) -> list[list[Payload]]:
     return [[alpha.coeffs[h] for h in row] for row in _regrep_index(alpha.group).tolist()]
 
 
-def _code_representation(alpha: GroupRingElement) -> np.ndarray:
-    """The left regular representation of alpha over a finite ring, as codes."""
-    R = alpha.ring
-    codes = np.array([R.encode(c) for c in alpha.coeffs], dtype=np.int64)
-    return codes[_regrep_index(alpha.group)]
+def _codes(alpha: GroupRingElement) -> np.ndarray:
+    return np.array([alpha.ring.encode(c) for c in alpha.coeffs], dtype=np.int64)
 
 
 def is_unit(alpha: GroupRingElement) -> bool:
-    """alpha is a unit iff left multiplication by it is invertible over R."""
+    """alpha is a unit iff left multiplication by it is invertible over R;
+    over a finite R, on each half of `unit_halves`."""
     R = alpha.ring
     if R.order is None:
         return _linalg.is_invertible(R, regular_representation(alpha))
-    return bool(_linalg.is_invertible_codes(R, _code_representation(alpha)[None])[0])
+    return bool(unit_mask(R, unit_halves(alpha.group), _codes(alpha)[None])[0])
 
 
 def unit_inverse(alpha: GroupRingElement) -> Optional[GroupRingElement]:
@@ -372,7 +435,7 @@ def unit_inverse(alpha: GroupRingElement) -> Optional[GroupRingElement]:
     if R.order is None:
         sol = _linalg.solve_column(R, regular_representation(alpha), rhs)
     else:
-        sol = _linalg.solve_column(R, _code_representation(alpha), [R.encode(c) for c in rhs])
+        sol = _linalg.solve_column(R, _codes(alpha)[_regrep_index(G)], [R.encode(c) for c in rhs])
         sol = None if sol is None else [R.decode(c) for c in sol]
     if sol is None:
         return None

@@ -1,10 +1,11 @@
 """Shared fixtures, plus the oracles that the runtime does not need:
 exhaustive enumeration of RG, dense group-ring arithmetic over all |G|
-coefficients, the per-group-element convolution, the element-by-element
-brute-force scan, the block-by-block witness condition-2 check, Theorem
-B's biconditional, the closed-form involution on (RG)f, the problem element
-of a witness, the single-formula SLC table, and the group-theoretic checks
-on built groups."""
+coefficients, the per-group-element convolution, the unsplit unit test on
+the whole regular representation, the element-by-element brute-force
+scan, the block-by-block witness condition-2 check, Theorem B's
+biconditional, the closed-form involution on (RG)f, the problem element of
+a witness, the single-formula SLC table, and the group-theoretic checks on
+built groups."""
 
 import itertools
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from starclean import canonical as cn, coeff, groups, groupring as gr, witness as wt
+from starclean import _linalg, canonical as cn, coeff, groups, groupring as gr, witness as wt
 from starclean.decide import BruteReport, Reason, Status, Verdict
 from starclean.errors import (
     BudgetError,
@@ -214,6 +215,15 @@ def reference_mul(a, b):
             k = int(row[h])
             out[k] = R.add(out[k], R.mul(cg, ch))
     return gr.GroupRingElement(a.group, R, out)
+
+
+def reference_is_unit(alpha):
+    """Unit test without the e/f split: one elimination of the whole |G| x
+    |G| regular representation codes[G.mul[:, G.inverse]] over a finite
+    ring."""
+    R, G = alpha.ring, alpha.group
+    codes = np.array([R.encode(c) for c in alpha.coeffs], dtype=np.int64)
+    return bool(_linalg.is_invertible_codes(R, codes[G.mul[:, G.inverse]][None])[0])
 
 
 def reference_convolve(RG, A, B):
@@ -440,9 +450,9 @@ def reference_stream(RG, budget):
 
 def reference_scan(RG, structure_rows, structure_full, prop, budget):
     """The element-by-element scan: each element of the stream in order
-    against each structure row p in order, with alpha - p tested by
-    groupring.is_unit behind a memo on its codes, up to the first element
-    with no decomposition."""
+    against each structure row p in order, with alpha - p tested by the
+    unsplit `reference_is_unit` behind a memo on its codes, up to the first
+    element with no decomposition."""
     R = RG.ring
     size = structure_rows.shape[0]
     neg_rows = R.vec.neg(structure_rows)
@@ -451,7 +461,7 @@ def reference_scan(RG, structure_rows, structure_full, prop, budget):
     def unit(codes):
         key = tuple(codes.tolist())
         if key not in memo:
-            memo[key] = gr.is_unit(RG.from_coeffs(R.decode(c) for c in key))
+            memo[key] = reference_is_unit(RG.from_coeffs(R.decode(c) for c in key))
         return memo[key]
 
     stream, mode = reference_stream(RG, budget)

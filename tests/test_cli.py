@@ -321,6 +321,39 @@ def test_bad_ring_exit_five(capsys):
     assert cli.main(["decide", "--group", "Q8", "--ring", "Z/4"]) == 5
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["canonical", "--element", "null"], "--element must be a JSON object"),
+        (["canonical", "--element", '"1"'], "--element must be a JSON object"),
+        (["canonical", "--element", "[1]"], "--element must be a JSON object"),
+        (["canonical", "--element", "{"], "--element is not valid JSON"),
+        (["canonical", "--element", '{"q": "1"}'], "names no element of Q8: ['q']"),
+        (["decide", "--group", '{"type":"D2","k":"1"}'], "k must be an integer, got '1'"),
+        (["decide", "--group", '{"type":"D2","k2":1.5}'], "k2 must be an integer, got 1.5"),
+        (["decide", "--group", '{"abelian": 3}'], "abelian must be a list of integers"),
+        (["decide", "--group", '{"type":"D9"}'], "unknown presentation type 'D9'"),
+        (["decide", "--group", "{"], "group spec is not valid JSON"),
+    ],
+    ids=[
+        "element-null", "element-string", "element-list", "element-json", "element-name",
+        "group-k-string", "group-k2-float", "group-abelian", "group-type", "group-json",
+    ],
+)
+def test_malformed_json_input_exit_three(capsys, argv, message):
+    """JSON the CLI cannot use is a ParseError naming the problem (exit 3),
+    never a traceback or the exit code of a verdict."""
+    if "--group" not in argv:
+        argv = argv[:1] + ["--group", "Q8"] + argv[1:]
+    assert cli.main(argv + ["--ring", "F3"]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_projections_over_an_infinite_ring_exit_four(capsys):
+    assert cli.main(["canonical", "--group", "Q8", "--ring", "Q", "--list-projections"]) == 4
+    assert "Q is infinite" in capsys.readouterr().err
+
+
 def test_canonical_involution_on_abelian_exit_five(capsys):
     assert cli.main(["brute", "--group", "C4", "--ring", "F3"]) == 5
 

@@ -221,6 +221,46 @@ def test_parse_inverts_fmt(spec):
         assert R.parse(R.fmt(a)) == a, R.fmt(a)
 
 
+def _reference_fmt(R, a):
+    """The per-ring polynomial spellings: GF(p^k) digits as c*w^i with c in
+    1..p-1, cyclotomic coordinates as c*z^i with -z for -1 and "+-" read as
+    "-"; highest power first, the constant bare, 0 for zero."""
+    var, coords = ("w", R.digits(a)) if isinstance(R, coeff.FiniteField) else ("z", a)
+    terms = []
+    for i in reversed(range(len(coords))):
+        c = coords[i]
+        if c == 0:
+            continue
+        base = var if i == 1 else f"{var}^{i}"
+        if i == 0:
+            terms.append(str(c))
+        elif c == 1 or c == -1:
+            terms.append(base if c == 1 else "-" + base)
+        else:
+            terms.append(f"{c}*{base}")
+    return "+".join(terms).replace("+-", "-") if terms else "0"
+
+
+@pytest.mark.parametrize("spec", ["F3^3", "F5^2", "Q(zeta7)", "Q(zeta12)"])
+def test_one_polynomial_formatter(spec):
+    """FiniteField.fmt and CyclotomicField.fmt go through one `_fmt_poly`:
+    every code of F3^3 and F5^2, and seeded Q(zeta_d) payloads with zero,
+    +-1 and fractional coordinates, spell as the per-ring reference and
+    parse back."""
+    R = coeff.make_ring(spec)
+    if R.order is not None:
+        draws = [R.decode(c) for c in range(R.order)]
+    else:
+        rng = np.random.default_rng(23)
+        pool = [Fraction(0), Fraction(1), Fraction(-1), Fraction(3), Fraction(-5, 7)]
+        draws = [tuple(pool[i] for i in rng.integers(0, 5, R.degree)) for _ in range(400)]
+        draws.append(tuple([Fraction(0)] * R.degree))
+    for a in draws:
+        assert R.fmt(a) == _reference_fmt(R, a)
+        assert R.parse(R.fmt(a)) == a
+    assert len({R.fmt(a) for a in draws}) == len(set(draws))
+
+
 @pytest.mark.parametrize(
     "spec, text",
     [

@@ -5,7 +5,14 @@ from starclean import _linalg, cli, coeff, decide, groups, groupring as gr, numt
 from starclean.decide import Budget, Status
 from starclean.errors import CharDividesError, PreconditionError
 from starclean.groups import Presentation as P
-from conftest import pw_mass, reference_scan, reference_stratum, reference_stream, theorem_b_decide
+from conftest import (
+    pw_mass,
+    reference_is_unit,
+    reference_scan,
+    reference_stratum,
+    reference_stream,
+    theorem_b_decide,
+)
 
 
 # ---------------------------------------------------------------- number theory
@@ -328,21 +335,29 @@ def _unit_probe_rows(RG, rng, count=60):
     return np.concatenate([uniform, two_term, biased]).astype(np.int64)
 
 
-def _split_mask(RG, halves, codes):
-    return decide._is_unit_codes(RG, halves, [h.rows(RG.ring.vec, codes) for h in halves])
+def _halves_and_tables(RG):
+    halves = gr.unit_halves(RG.group)
+    return halves, [decide._status_table(RG.ring.order, h.T.shape[0]) for h in halves]
+
+
+def _split_mask(RG, halves, tables, codes):
+    rows = [h.rows(RG.ring.vec, codes) for h in halves]
+    return decide._is_unit_codes(RG.ring, halves, tables, rows)
 
 
 def _oracle_mask(RG, codes):
     R = RG.ring
-    return np.array([gr.is_unit(RG.from_coeffs(R.decode(int(c)) for c in row)) for row in codes])
+    elements = (RG.from_coeffs(R.decode(int(c)) for c in row) for row in codes)
+    return np.array([reference_is_unit(a) for a in elements])
 
 
 @pytest.mark.parametrize("ring", ["F3", "F5", "Z/9", "F3^2", "Z/15"])
 def test_split_unit_mask_matches_unsplit_is_unit(ring, monkeypatch):
     """On every SLC carrier of order <= 16, on a lift group H x C2 and on
     C3xC2 (no index layout: one block of |G| dims), the unit mask decided on
-    the e/f halves is groupring.is_unit's on the whole regular
-    representation.  A repeated call answers from the halves' tables alone."""
+    the e/f halves is the unsplit elimination's on the whole regular
+    representation, and so is groupring.is_unit's.  A repeated call answers
+    from the halves' tables alone."""
     R = coeff.make_ring(ring)
     carriers = [S.group for S in _slc_carriers_up_to_16()]
     carriers += [groups.direct_product(groups.build_abelian((3, 2)), groups.cyclic_group(2))]
@@ -357,15 +372,17 @@ def test_split_unit_mask_matches_unsplit_is_unit(ring, monkeypatch):
     for G in carriers:
         RG = gr.GroupRing(G, R)
         codes = _unit_probe_rows(RG, rng)
-        halves = decide._halves(RG)
+        halves, tables = _halves_and_tables(RG)
         assert len(halves) == (1 if G.order == 6 else 2)
         ref = _oracle_mask(RG, codes)
         assert not ref[-20:].any()
-        assert np.array_equal(_split_mask(RG, halves, codes), ref), G.order
+        assert np.array_equal(_split_mask(RG, halves, tables, codes), ref), G.order
+        elements = (RG.from_coeffs(R.decode(int(c)) for c in row) for row in codes[::7])
+        assert [gr.is_unit(a) for a in elements] == ref[::7].tolist()
         seen.update(ref.tolist())
         calls.clear()
-        assert np.array_equal(_split_mask(RG, halves, codes), ref)
-        if all(h.table is not None for h in halves):
+        assert np.array_equal(_split_mask(RG, halves, tables, codes), ref)
+        if all(t is not None for t, _ in tables):
             assert not calls
     assert seen == {True, False}
 
@@ -378,8 +395,8 @@ def test_split_unit_mask_without_tables_keeps_rows_apart():
     v + 2^64, whose base-27 values wrap to one int64; not duplicates."""
     RG, _ = _carrier("Q8xC2", "F3^3", "classical")
     R, q, n = RG.ring, 27, 16
-    halves = decide._halves(RG)
-    assert q ** (n // 2) > decide._CACHE_CAP and all(h.table is None for h in halves)
+    halves, tables = _halves_and_tables(RG)
+    assert q ** (n // 2) > decide._CACHE_CAP and all(t is None for t, _ in tables)
     half = R.encode(R.half)
     e, e_gf = np.zeros((2, n), dtype=np.int64)
     e[:2] = e_gf[:2] = half
@@ -390,7 +407,7 @@ def test_split_unit_mask_without_tables_keeps_rows_apart():
     codes = np.concatenate([[e, e_gf], wrapped, probe, probe[::-1], wrapped[::-1], [e_gf, e]])
     ref = _oracle_mask(RG, codes)
     assert not ref[0] and ref[1]
-    assert np.array_equal(_split_mask(RG, halves, codes), ref)
+    assert np.array_equal(_split_mask(RG, halves, tables, codes), ref)
 
 
 def _eager_first_decomposition(alpha, sigma, budget):
@@ -400,7 +417,7 @@ def _eager_first_decomposition(alpha, sigma, budget):
     projs, _ = decide.projection_set(RG, sigma, budget)
     for row in projs:
         p = RG.from_coeffs(alpha.ring.decode(int(c)) for c in row)
-        if gr.is_unit(alpha - p):
+        if reference_is_unit(alpha - p):
             return alpha - p, p
     return None
 

@@ -275,10 +275,13 @@ def test_half_representations_are_multiplicative(spec):
     """The e/f halves are ring maps and `_half_index` gives their regular
     representations: for y = c[0::2] + c[1::2] and x = c[0::2] - c[1::2],
     y(alpha beta) = y(alpha)[T] y(beta) and x(alpha beta) = +-x(alpha)[T]
-    x(beta), with the signs at `neg`, over F5 against batch_convolve."""
+    x(beta), with the signs at `neg`, over F5 against batch_convolve; Q is
+    the table of G/<s>, with T[k, h] = k * h^-1 in it."""
     S = cli.parse_group_spec(spec)
     RG = gr.GroupRing(S.group, coeff.FiniteField(5))
-    T, neg = gr._half_index(S.group)
+    Q, T, neg = gr._half_index(S.group)
+    idx = np.arange(Q.shape[0])
+    assert (Q[T, idx] == idx[:, None]).all()
     rng = np.random.default_rng(5)
     A, B = rng.integers(0, 5, size=(2, 20, S.group.order))
     AB = gr.batch_convolve(RG, A, B)
@@ -293,6 +296,28 @@ def test_groups_without_the_index_layout_have_no_halves():
     assert gr._half_index(groups.build_abelian((3, 2))) is None
     assert gr._half_index(groups.cyclic_group(9)) is None
     assert gr._half_index(groups.cyclic_group(2)) is not None
+    assert [h.sign for h in gr.unit_halves(groups.build_abelian((3, 2)))] == [0]
+    assert [h.sign for h in gr.unit_halves(groups.cyclic_group(2))] == [1, -1]
+
+
+@pytest.mark.parametrize("ring", ["F5", "Z/9", "F3^2"])
+@pytest.mark.parametrize("spec", ["Q8", "D3[k=1,k2=1]", "C3xC2"])
+def test_half_scatter_inverts_the_fold(spec, ring):
+    """Each half's fold gives back the half rows it scattered, and the
+    scatters of an element's halves sum to it: alpha = alpha*e + alpha*f
+    (alpha itself on a group without the index layout)."""
+    G = cli.parse_group_spec(spec)
+    G = getattr(G, "group", G)
+    R = coeff.make_ring(ring)
+    C = np.random.default_rng(11).integers(0, R.order, size=(25, G.order))
+    halves = gr.unit_halves(G)
+    total = np.zeros_like(C)
+    for h in halves:
+        rows = h.rows(R.vec, C)
+        assert rows.shape[1] == h.T.shape[0] == h.table.shape[0]
+        assert np.array_equal(h.rows(R.vec, h.scatter(R, rows)), rows)
+        total = R.vec.add(total, h.scatter(R, rows))
+    assert np.array_equal(total, C)
 
 
 def test_one_plus_s_is_not_a_unit(rq8_f3, q8):
