@@ -326,19 +326,24 @@ def _gf_mul_digits(A: np.ndarray, B: np.ndarray, rows: np.ndarray, p: int) -> np
     """The GF(p^k) product of base-p digit arrays (..., k), broadcast together.
 
     The digit convolution is folded back below x^k by the reduction rows.
-    Each partial sum is reduced mod p before the next digit product joins it,
-    so no value exceeds p^2 - p: the product is exact while p^2 < 2^63.
+    Sums are reduced mod p once where k (p - 1)^2 < 2^63, else after every
+    product, so no value exceeds p^2 - p: the product is exact while p^2 < 2^63.
     """
     k = rows.shape[1]
+    each = k * (p - 1) ** 2 >= 2**63
     conv = np.zeros(np.broadcast_shapes(A.shape, B.shape)[:-1] + (2 * k - 1,), dtype=np.int64)
     for i in range(k):  # in place: a q x q table needs one temporary of its digits
         part = conv[..., i : i + k]
         part += A[..., i, None] * B
-        part %= p
+        if each:
+            part %= p
+    conv %= p
     out = conv[..., :k]
     for i in range(k - 1):
         out += conv[..., k + i, None] * rows[i]
-        out %= p
+        if each:
+            out %= p
+    out %= p
     return out
 
 

@@ -4,13 +4,13 @@ The theory side turns the necessary conditions (structure, order-4 and
 excluded-prime elements in the abelian factor, solvability of
 X^2+Y^2+Z^2+1 = 0) plus the field-coefficient biconditional into Verdicts
 with citation-tagged reasons and machine-checked certificates.  The brute
-side enumerates or samples RG directly, in blocks of elements: each block
-meets the structure rows slice by slice, and on a small RG an element
-sampled twice is decided once.  Its unit tests take the halves of
-`groupring.unit_halves` and keep a per-scan status table per half, exact on
-its base-q values; the rows no table knows go to the halves' batched
-elimination.  Cross-validation compares the two sides and raises on any
-disagreement.
+side enumerates or samples RG in blocks of elements, decided on factors:
+the e and f halves of `groupring.unit_halves` apart when the structure
+set's distinct half rows multiply to its row count, else the whole element.
+Each factor keeps a per-scan status table, and its unit tests one per half,
+exact on their base-q values; the rows no table knows go to the halves'
+batched elimination.  Cross-validation compares the two sides and raises on
+any disagreement.
 """
 
 from __future__ import annotations
@@ -154,7 +154,7 @@ def _status_table(q: int, dims: int):
 
 
 def _is_unit_codes(
-    R: CoefficientRing, halves: list[Half], tables: list, rows: list[np.ndarray]
+    R: CoefficientRing, halves: Sequence[Half], tables: list, rows: list[np.ndarray]
 ) -> np.ndarray:
     """Unit mask of elements given by their rows in each of the `halves`
     (`groupring.unit_halves`), with `tables` the halves' per-scan status
@@ -293,6 +293,23 @@ def _element_stream(RG: GroupRing, budget: Budget):
     return (block(a, b) for a, b in _block_bounds(budget.sample_count)), "sampled"
 
 
+def _factors(RG: GroupRing, structure_rows: np.ndarray) -> list[tuple[Sequence[Half], list]]:
+    """(halves, negated structure parts) of each factor of a scan over the
+    distinct `structure_rows`: the two halves apart, with their distinct half
+    rows, when those counts multiply to the row count (the fold into halves
+    is injective, so the set is their product), else the whole element."""
+    vec = RG.ring.vec
+    halves = unit_halves(RG.group)
+    parts = [h.rows(vec, vec.neg(structure_rows)) for h in halves]
+    if len(halves) == 2:
+        # np.unique on one void scalar a row: on axis=0 it takes ~8x longer
+        row = np.dtype((np.void, 8 * parts[0].shape[1]))
+        distinct = [np.unique(p.view(row)).view(np.int64).reshape(-1, p.shape[1]) for p in parts]
+        if distinct[0].shape[0] * distinct[1].shape[0] == structure_rows.shape[0]:
+            return [([h], [d]) for h, d in zip(halves, distinct)]
+    return [(halves, parts)]
+
+
 def _scan(
     RG: GroupRing,
     structure_rows: np.ndarray,
@@ -302,57 +319,62 @@ def _scan(
 ) -> BruteReport:
     """Scan RG for an element with no unit + structure-row decomposition.
 
-    The element stream is decided one block at a time (see `_block_sizes`):
-    for each slice of structure rows in order, the block's still undecided
-    elements minus those rows, formed half by half from the block's and the
-    rows' halves, go through the split unit test (`_is_unit_codes`), and the
-    elements with a unit among them leave.  A slice is one row while
-    many elements are undecided and widens to about _SLICE_CANDIDATES
-    candidates as they leave.  An element left undecided after the last row
-    has no decomposition; the first such element in stream order is the
-    counterexample, and `tested` counts the stream up to it, as an
-    element-by-element scan would.  When RG has at most _CACHE_CAP
-    elements, a status table over their base-q values keeps what is decided,
-    so a sampled element seen before is not decided again.
+    Elements are decided on their factors (`_factors`), one block of the
+    stream at a time (see `_block_sizes`) and factor by factor: for each
+    slice of a factor's structure parts in order, the block's still
+    undecided factor rows minus those parts go through the split unit test
+    (`_is_unit_codes`), and the rows with a unit among them leave.  A slice
+    is one part while many rows are undecided and widens to about
+    _SLICE_CANDIDATES candidates as they leave.  An element has no
+    decomposition iff one of its factor rows is left undecided after the
+    last part: its mask is the OR of its factors', so a factor decides only
+    the elements the ones before it left decomposable.  The first such
+    element in stream order is the counterexample, and `tested` counts the
+    stream up to it, as an element-by-element scan would.  A factor with at
+    most _CACHE_CAP base-q values keeps its decisions in a status table.
 
     The result is certified whenever it is not None: False needs a complete
     structure set behind the counterexample, True an exhaustive scan.
     """
     kind = "projection" if property == "star-clean" else "idempotent"
     size = structure_rows.shape[0]
-    vec = RG.ring.vec
-    halves = unit_halves(RG.group)
-    tables = [_status_table(RG.ring.order, h.T.shape[0]) for h in halves]
-    neg_parts = [h.rows(vec, vec.neg(structure_rows)) for h in halves]
+    R, vec = RG.ring, RG.ring.vec
+    factors = [
+        (halves, [_status_table(R.order, h.T.shape[0]) for h in halves], negs,
+         *_status_table(R.order, sum(h.T.shape[0] for h in halves)))
+        for halves, negs in _factors(RG, structure_rows)
+    ]
 
-    def stuck(rows: np.ndarray) -> np.ndarray:
-        """Mask of the rows with no decomposition."""
-        parts = [h.rows(vec, rows) for h in halves]
-        undecided = np.arange(rows.shape[0])
+    def stuck(halves, tables, negs, parts: list[np.ndarray]) -> np.ndarray:
+        """Mask of the factor rows, given by their half rows, with no decomposition."""
+        undecided = np.arange(parts[0].shape[0])
         start = 0
-        while undecided.size and start < size:
-            stop = min(size, start + max(1, _SLICE_CANDIDATES // undecided.size))
+        while undecided.size and start < len(negs[0]):
+            stop = min(len(negs[0]), start + max(1, _SLICE_CANDIDATES // undecided.size))
             cands = [
                 vec.add(part[undecided][:, None], neg[None, start:stop]).reshape(-1, part.shape[1])
-                for part, neg in zip(parts, neg_parts)
+                for part, neg in zip(parts, negs)
             ]
             start = stop
-            units = _is_unit_codes(RG.ring, halves, tables, cands).reshape(undecided.size, -1)
+            units = _is_unit_codes(R, halves, tables, cands).reshape(undecided.size, -1)
             undecided = undecided[~units.any(axis=1)]
-        return np.isin(np.arange(rows.shape[0]), undecided)
+        return np.bincount(undecided, minlength=parts[0].shape[0]) > 0
 
-    memo, weights = _status_table(RG.ring.order, RG.group.order)
     blocks, mode = _element_stream(RG, budget)
     tested = 0
     for block in blocks:
-        if memo is None:
-            no = stuck(block)
-        else:
-            keys = block @ weights
+        no = np.zeros(block.shape[0], dtype=bool)
+        for halves, tables, negs, memo, weights in factors:
+            todo = np.flatnonzero(~no)
+            parts = [h.rows(vec, block[todo]) for h in halves]
+            if memo is None:
+                no[todo] = stuck(halves, tables, negs, parts)
+                continue
+            keys = np.concatenate(parts, axis=1) @ weights
             fresh = np.flatnonzero(memo[keys] == _UNKNOWN)
             new, first = np.unique(keys[fresh], return_index=True)
-            memo[new] = np.where(stuck(block[fresh[first]]), _NO, _YES)
-            no = memo[keys] == _NO
+            memo[new] = np.where(stuck(halves, tables, negs, [p[fresh[first]] for p in parts]), _NO, _YES)
+            no[todo] = memo[keys] == _NO
         if not no.any():
             tested += block.shape[0]
             continue
@@ -377,8 +399,7 @@ def brute_star_clean(
 ) -> BruteReport:
     """Scan RG for an element with no unit + projection decomposition."""
     RG = GroupRing(G, R)
-    projs, full = projection_set(RG, sigma, budget)
-    return _scan(RG, projs, full, "star-clean", budget)
+    return _scan(RG, *projection_set(RG, sigma, budget), "star-clean", budget)
 
 
 def brute_clean(
@@ -386,8 +407,7 @@ def brute_clean(
 ) -> BruteReport:
     """Scan RG for an element with no unit + idempotent decomposition."""
     RG = GroupRing(G, R)
-    idems, full = idempotent_set(RG, budget)
-    return _scan(RG, idems, full, "clean", budget)
+    return _scan(RG, *idempotent_set(RG, budget), "clean", budget)
 
 
 def element_star_clean(
@@ -412,12 +432,11 @@ def element_star_clean(
         chunks = [_sorted_rows(chunks)]
     R = alpha.ring
     codes = np.array([R.encode(c) for c in alpha.coeffs], dtype=np.int64)
-    halves = unit_halves(RG.group)
     for projs in chunks:
         for a, b in _block_bounds(projs.shape[0]):
             rows = projs[a:b]
             cands = R.vec.add(codes, R.vec.neg(rows))
-            units = np.flatnonzero(unit_mask(R, halves, cands))
+            units = np.flatnonzero(unit_mask(R, unit_halves(RG.group), cands))
             if units.size:
                 i = int(units[0])
                 q_el = RG.from_coeffs(R.decode(int(c)) for c in rows[i])

@@ -15,8 +15,9 @@ rows (`batch_convolve`) are one gathered integer contraction, reduced once.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -269,6 +270,7 @@ def _half_index(G: FiniteGroup) -> Optional[tuple[np.ndarray, np.ndarray, np.nda
 
 # int64 cells of the stacked GF(p)-matrices per elimination: bounded memory
 _KERNEL_CELLS = 1 << 16
+_HALVES = weakref.WeakKeyDictionary()  # unit_halves(G) by group
 
 
 class Half:
@@ -305,7 +307,7 @@ class Half:
         return rows[:, self.T]
 
 
-def half_units(R: CoefficientRing, halves: list[Half], rows: list[np.ndarray]) -> np.ndarray:
+def half_units(R: CoefficientRing, halves: Sequence[Half], rows: list[np.ndarray]) -> np.ndarray:
     """Mask of the elements that are units on every half, given their half
     rows `rows[j]` on `halves[j]`: the halves' representations eliminate as
     one batched stack, in stacks of at most _KERNEL_CELLS cells (after the
@@ -319,16 +321,20 @@ def half_units(R: CoefficientRing, halves: list[Half], rows: list[np.ndarray]) -
     ])
 
 
-def unit_halves(G: FiniteGroup) -> list[Half]:
-    """G's halves: alpha*e and alpha*f on the SLC index layout, else alpha."""
-    split = _half_index(G)
-    if split is None:
-        return [Half(0, G.mul, _regrep_index(G))]
-    Q, T, neg = split
-    return [Half(1, Q, T), Half(-1, Q, T + T.shape[0] * neg)]
+def unit_halves(G: FiniteGroup) -> tuple[Half, ...]:
+    """G's halves: alpha*e and alpha*f on the SLC index layout, else alpha;
+    built once per group, which hashes by identity and is read-only."""
+    if G not in _HALVES:
+        split = _half_index(G)
+        if split is None:
+            _HALVES[G] = (Half(0, G.mul, _regrep_index(G)),)
+        else:
+            Q, T, neg = split
+            _HALVES[G] = (Half(1, Q, T), Half(-1, Q, T + T.shape[0] * neg))
+    return _HALVES[G]
 
 
-def unit_mask(R: CoefficientRing, halves: list[Half], codes: np.ndarray) -> np.ndarray:
+def unit_mask(R: CoefficientRing, halves: Sequence[Half], codes: np.ndarray) -> np.ndarray:
     """Unit mask of code rows of RG over a finite R: a unit on every half."""
     return half_units(R, halves, [h.rows(R.vec, codes) for h in halves])
 

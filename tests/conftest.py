@@ -1,6 +1,7 @@
 """Shared fixtures, plus the oracles that the runtime does not need:
 exhaustive enumeration of RG, dense group-ring arithmetic over all |G|
-coefficients, the per-group-element convolution, the unsplit unit test on
+coefficients, the per-group-element convolution, the GF(p^k) digit
+product reduced digit by digit, the unsplit unit test on
 the whole regular representation, the element-by-element brute-force
 scan, the block-by-block witness condition-2 check, Theorem B's
 biconditional, the closed-form involution on (RG)f, the problem element of
@@ -224,6 +225,20 @@ def reference_is_unit(alpha):
     R, G = alpha.ring, alpha.group
     codes = np.array([R.encode(c) for c in alpha.coeffs], dtype=np.int64)
     return bool(_linalg.is_invertible_codes(R, codes[G.mul[:, G.inverse]][None])[0])
+
+
+def reference_gf_mul_digits(A, B, rows, p):
+    """The GF(p^k) product of base-p digit arrays (..., k) with every
+    partial sum reduced mod p as soon as a digit product or a reduction row
+    joins it, folded back below x^k by the reduction rows `rows`."""
+    k = rows.shape[1]
+    conv = np.zeros(np.broadcast_shapes(A.shape, B.shape)[:-1] + (2 * k - 1,), dtype=np.int64)
+    for i in range(k):
+        conv[..., i : i + k] = (conv[..., i : i + k] + A[..., i, None] * B) % p
+    out = conv[..., :k]
+    for i in range(k - 1):
+        out = (out + conv[..., k + i, None] * rows[i]) % p
+    return out
 
 
 def reference_convolve(RG, A, B):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import reference_three_squares
+from conftest import reference_gf_mul_digits, reference_three_squares
 from starclean import coeff, numtheory
 from starclean.errors import CharDividesError, NonUnitError, ParseError, RingSpecError
 
@@ -338,6 +338,40 @@ def test_tables_built_in_row_blocks_match_one_block(monkeypatch, p, k):
         assert np.array_equal(vec.wide_reduce(vec.wide_mul(A, B)), vec.mul(A, B))
     for one, blocked in zip(*tables):
         assert np.array_equal(one, blocked)
+
+
+@pytest.mark.parametrize(
+    "p, k", [(3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (5, 2), (5, 3), (5, 4), (7, 2), (31, 2)]
+)
+def test_tables_match_digit_by_digit_reduction(p, k):
+    """The mul and wide tables, whose digit sums are reduced mod p once,
+    hold the products of the convolution reduced digit by digit, in blocks
+    of 64 rows."""
+    F = coeff.FiniteField(p, k)
+    rows = coeff._reduction_rows(F.modulus, p)
+    codes = np.arange(F.order)
+    digits = codes[:, None] // p ** np.arange(k) % p
+    W = int(2 ** (63 / k))
+    W -= W**k >= 2**63
+    for r in range(0, F.order, 64):
+        want = reference_gf_mul_digits(digits[r : r + 64, None], digits, rows, p)
+        A = codes[r : r + 64, None]
+        assert np.array_equal(F.vec.mul(A, codes), want @ p ** np.arange(k))
+        assert np.array_equal(F.vec.wide_mul(A, codes), want @ W ** np.arange(k))
+
+
+@pytest.mark.parametrize(
+    "p, modulus", [(1_000_000_007, (3, 0, 1)), (1_000_000_007, (2, 1, 0, 1)), (3037000493, (2, 0, 1))]
+)
+def test_digit_product_matches_digit_by_digit_reduction_for_large_p(p, modulus):
+    """With k (p - 1)^2 below 2^63 the digit sums are reduced once and the
+    fold's products stay in int64; above it (the last case) every partial
+    sum is reduced.  Both give the digits of the reference, for any monic
+    modulus."""
+    rows = coeff._reduction_rows(modulus, p)
+    A, B = np.random.default_rng(p).integers(0, p, size=(2, 500, len(modulus) - 1))
+    got = coeff._gf_mul_digits(A, B, rows, p)
+    assert np.array_equal(got, reference_gf_mul_digits(A, B, rows, p))
 
 
 @pytest.mark.parametrize("ring", ["Z/9", "F13", "F2147483647", "F3^2", "F7^2", "F5^4", "F3^6", "F3^7"])

@@ -256,6 +256,96 @@ def test_block_scan_matches_element_by_element_reference(spec, ring, prop, invol
         assert 27**8 > decide._CACHE_CAP and rep.mode == "sampled"
 
 
+_SWEEP_16 = [
+    "D1[k=1]", "D1[k=1]xC2", "D1[k=2]", "Q8", "Q8xC2", "D2[k=2]", "D3[k=1,k2=1]", "D4[k=1,k2=1]",
+]
+
+
+def _one_factor(RG, rows):
+    """`decide._factors` held to its whole-element factor."""
+    halves = gr.unit_halves(RG.group)
+    return [(halves, [h.rows(RG.ring.vec, RG.ring.vec.neg(rows)) for h in halves])]
+
+
+def _structure(RG, sigma, prop, budget):
+    if prop == "clean":
+        return decide.idempotent_set(RG, budget)
+    return decide.projection_set(RG, sigma, budget)
+
+
+@pytest.mark.parametrize(
+    "spec,ring,prop,involution",
+    [(g, "F3", "clean", "classical") for g in _SWEEP_16]
+    + [
+        (g, r, "star-clean", inv)
+        for r in ("F3", "F5", "Z/9")
+        for g in _SWEEP_16
+        for inv in ("canonical", "classical")
+    ],
+)
+def test_factored_scan_matches_one_factor_and_reference(spec, ring, prop, involution, monkeypatch):
+    """Scanned on its e/f factors wherever the structure set is their
+    product, every SLC carrier of order <= 16 gives the report and
+    counterexample of the forced whole-element factor at the default
+    budget and on a short sampled stream, and of the element-by-element
+    reference on the short stream."""
+    RG, sigma = _carrier(spec, ring, involution)
+    for budget in (Budget(), _SAMPLED):
+        rows, full = _structure(RG, sigma, prop, budget)
+        got = decide._scan(RG, rows, full, prop, budget)
+        with monkeypatch.context() as m:
+            m.setattr(decide, "_factors", _one_factor)
+            one = decide._scan(RG, rows, full, prop, budget)
+        assert got.to_json() == one.to_json() and got.counterexample == one.counterexample
+    ref = reference_scan(RG, rows, full, prop, _SAMPLED)
+    assert got.to_json() == ref.to_json() and got.counterexample == ref.counterexample
+
+
+def test_factored_clean_reproducer_matches_reference_and_one_factor(monkeypatch):
+    """`brute Q8/F3 --property clean --budget 1000`: 100,000 sampled
+    elements against the 224 idempotents, a product of 16 e-parts and 14
+    f-parts, give the report of the reference and of the whole element."""
+    RG, _ = _carrier("Q8", "F3", "classical")
+    budget = Budget(full_scan_limit=1000)
+    rows, full = decide.idempotent_set(RG, budget)
+    assert [parts[0].shape[0] for _, parts in decide._factors(RG, rows)] == [16, 14]
+    got = decide.brute_clean(RG.group, RG.ring, budget)
+    monkeypatch.setattr(decide, "_factors", _one_factor)
+    assert got.to_json() == decide.brute_clean(RG.group, RG.ring, budget).to_json()
+    assert got.to_json() == reference_scan(RG, rows, full, "clean", budget).to_json()
+    assert got.mode == "sampled" and got.result is None and got.tested == budget.sample_count
+
+
+@pytest.mark.parametrize(
+    "spec, ring", [("Q8xC2", "F5"), ("D1[k=2]", "F5"), ("D2[k=2]", "F5"), ("Q8xC2", "Z/9")]
+)
+def test_sampled_product_sets_split(spec, ring):
+    """A sampled projection set that is the product of its halves' parts
+    splits as an exhaustive one does: Q8xC2/F5 draws 24 = 6 x 4 rows."""
+    RG, sigma = _carrier(spec, ring, "canonical")
+    rows, full = decide.projection_set(RG, sigma)
+    factors = decide._factors(RG, rows)
+    assert not full and len(factors) == 2
+    assert factors[0][1][0].shape[0] * factors[1][1][0].shape[0] == rows.shape[0]
+
+
+def test_split_is_refused_off_the_index_layout_and_off_products():
+    """C3xC2 has no index layout, so one factor; the complete projection
+    set of Q8/F3 (32 = 16 x 2 rows) splits, and loses the split when one of
+    its rows is dropped, though both halves keep all their parts."""
+    RG, sigma = _carrier("C3xC2", "F5", "classical")
+    rows, _ = decide.projection_set(RG, sigma)
+    assert [len(halves) for halves, _ in decide._factors(RG, rows)] == [1]
+    RG, sigma = _carrier("Q8", "F3", "canonical")
+    rows, full = decide.projection_set(RG, sigma)
+    assert full and [p[0].shape[0] for _, p in decide._factors(RG, rows)] == [16, 2]
+    for drop in (0, 13, 31):
+        fewer = np.delete(rows, drop, axis=0)
+        (halves, parts), = decide._factors(RG, fewer)
+        assert len(halves) == 2 and [p.shape[0] for p in parts] == [31, 31]
+        assert [np.unique(p, axis=0).shape[0] for p in parts] == [16, 2]
+
+
 @pytest.mark.parametrize(
     "spec, ring, count",
     [("Q8", "F3", 50), ("Q8", "Z/15", 23), ("C2", "F7", 50), ("Q8xC2", "F3^3", 400), ("C3xC2", "F13", 7)],
