@@ -404,8 +404,10 @@ def _is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
 def _least_irreducible(p: int, k: int) -> tuple[int, ...]:
     """Least monic irreducible of degree k over F_p, ordering candidates
     lexicographically with the top coefficients most significant (so the
-    constant term varies fastest and x^k + c is tried first)."""
-    for n in range(p**k):  # the base-p digits of n, constant term first
+    constant term varies fastest and x^k + c is tried first).  The x^k + c
+    are skipped when all are reducible (Lidl-Niederreiter, Thm 3.75)."""
+    binomials = all((p - 1) % r == 0 for r, _ in numtheory.factorize(k)) and (k % 4 or p % 4 == 1)
+    for n in range(0 if binomials else p, p**k):  # the base-p digits of n, constant term first
         candidate = tuple(n // p**i % p for i in range(k)) + (1,)
         if _is_irreducible(candidate, p):
             return candidate

@@ -7,10 +7,10 @@ with citation-tagged reasons and machine-checked certificates.  The brute
 side enumerates or samples RG in blocks of elements, decided on factors:
 the e and f halves of `groupring.unit_halves` apart when the structure
 set's distinct half rows multiply to its row count, else the whole element.
-Each factor keeps a per-scan status table, and its unit tests one per half,
-exact on their base-q values; the rows no table knows go to the halves'
-batched elimination.  Cross-validation compares the two sides and raises on
-any disagreement.
+Each factor keeps one unit table and one decision table per scan, exact on
+the base-q values of its rows; the rows its unit table does not know go to
+one stacked elimination of their halves.  Cross-validation compares the two
+sides and raises on any disagreement.
 """
 
 from __future__ import annotations
@@ -132,8 +132,8 @@ class BruteReport:
 
 
 # entries (int8, so bytes) of a per-scan status table over the exact base-q
-# values of a half (unit or not) or of an element (decomposes or not): with
-# more values there is no table
+# values of a factor's rows (unit or not, decomposes or not): with more
+# values there is no table
 _CACHE_CAP = 1 << 21
 # element blocks of a scan grow from _FIRST_BLOCK rows by 4x up to _MAX_BLOCK
 _FIRST_BLOCK = 4
@@ -153,38 +153,38 @@ def _status_table(q: int, dims: int):
     return np.zeros(q**dims, dtype=np.int8), q ** np.arange(dims, dtype=np.int64)
 
 
-def _is_unit_codes(
-    R: CoefficientRing, halves: Sequence[Half], tables: list, rows: list[np.ndarray]
-) -> np.ndarray:
-    """Unit mask of elements given by their rows in each of the `halves`
-    (`groupring.unit_halves`), with `tables` the halves' per-scan status
-    tables (`_status_table`).  A half's status comes from its table where it
-    has one; the rows it leaves unknown whose other half is not known to be a
-    non-unit take, deduplicated, one batched elimination per half."""
-    keys = [r if t is None else r @ w for (t, w), r in zip(tables, rows)]
-    status = np.array([
-        np.zeros(k.shape[0], dtype=np.int8) if t is None else t[k]
-        for (t, _), k in zip(tables, keys)
-    ])
-    for i, (h, (table, _)) in enumerate(zip(halves, tables)):
-        todo = np.flatnonzero((status[i] == _UNKNOWN) & (status != _NO).all(axis=0))
-        if not todo.size:
-            continue
-        _, first, at = np.unique(keys[i][todo], axis=0, return_index=True, return_inverse=True)
-        fresh = np.where(half_units(R, [h], [rows[i][todo[first]]]), _YES, _NO).astype(np.int8)
-        status[i, todo] = fresh[at.ravel()]
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One void scalar per code row, equal iff the rows are (no base-q value
+    to wrap); np.unique sorts these about 8x faster than rows on axis=0."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def _memo(table, weights, rows: np.ndarray, decide) -> np.ndarray:
+    """Mask `decide(rows)`, with (table, weights) from `_status_table`: the
+    rows the table knows are read from it, and `decide` runs once on the
+    distinct unknown rows, whose results go back into the table.  Without a
+    table the rows are deduplicated within the call only (`_row_keys`)."""
+    keys = _row_keys(rows) if table is None else rows @ weights
+    status = np.zeros(rows.shape[0], dtype=np.int8) if table is None else table[keys]
+    todo = np.flatnonzero(status == _UNKNOWN)
+    if todo.size:
+        new, first, at = np.unique(keys[todo], return_index=True, return_inverse=True)
+        fresh = np.where(decide(rows[todo[first]]), _YES, _NO).astype(np.int8)
+        status[todo] = fresh[at]
         if table is not None:
-            table[keys[i][todo[first]]] = fresh
-    return (status == _YES).all(axis=0)
+            table[new] = fresh
+    return status == _YES
 
 
-def _block_sizes() -> Iterator[int]:
-    """Block lengths of a scan: small first, so that a scan stopping at its
-    first elements stays cheap, then 4x larger up to _MAX_BLOCK."""
-    size = _FIRST_BLOCK
-    while True:
-        yield size
-        size = min(4 * size, _MAX_BLOCK)
+def _is_unit_codes(
+    R: CoefficientRing, halves: Sequence[Half], units: tuple, rows: np.ndarray
+) -> np.ndarray:
+    """Unit mask of elements given by their factor rows, the rows of each of
+    the `halves` (`groupring.unit_halves`) side by side, through the
+    factor's unit table `units` (`_memo`): one stacked elimination of the
+    halves of the rows it does not know."""
+    return _memo(*units, rows, lambda new: half_units(R, halves, np.hsplit(new, len(halves))))
 
 
 def _structure_rows(RG: GroupRing, scatter, dims: int, budget: Budget):
@@ -247,13 +247,13 @@ def idempotent_set(
 
 
 def _block_bounds(total: int) -> Iterator[tuple[int, int]]:
-    """(start, stop) of each block of a stream of `total` elements."""
-    start = 0
-    for size in _block_sizes():
-        if start >= total:
-            return
+    """(start, stop) of each block of a stream of `total` elements: small
+    first, so that a scan stopping at its first elements stays cheap, then
+    4x larger up to _MAX_BLOCK."""
+    start, size = 0, _FIRST_BLOCK
+    while start < total:
         yield start, min(total, start + size)
-        start += size
+        start, size = start + size, min(4 * size, _MAX_BLOCK)
 
 
 def _stratum_rows(rng: np.random.Generator, count: int, n: int, q: int) -> np.ndarray:
@@ -273,7 +273,7 @@ def _stratum_rows(rng: np.random.Generator, count: int, n: int, q: int) -> np.nd
 
 def _element_stream(RG: GroupRing, budget: Budget):
     """(blocks, mode): code-row blocks of the full counter order within
-    budget, else of stratified samples (see `_block_sizes`): the
+    budget, else of stratified samples (see `_block_bounds`): the
     sample_count // 5 small-support rows of `_stratum_rows`, then uniform
     rows drawn a whole block at a time, each block as its rows one by one."""
     card = RG.element_count()
@@ -293,21 +293,26 @@ def _element_stream(RG: GroupRing, budget: Budget):
     return (block(a, b) for a, b in _block_bounds(budget.sample_count)), "sampled"
 
 
-def _factors(RG: GroupRing, structure_rows: np.ndarray) -> list[tuple[Sequence[Half], list]]:
-    """(halves, negated structure parts) of each factor of a scan over the
-    distinct `structure_rows`: the two halves apart, with their distinct half
-    rows, when those counts multiply to the row count (the fold into halves
-    is injective, so the set is their product), else the whole element."""
+def _factor_rows(vec, halves: Sequence[Half], codes: np.ndarray) -> np.ndarray:
+    """The rows of code rows on a factor: their rows on each half, side by side."""
+    return np.concatenate([h.rows(vec, codes) for h in halves], axis=1)
+
+
+def _factors(RG: GroupRing, structure_rows: np.ndarray) -> list[tuple[Sequence[Half], np.ndarray]]:
+    """(halves, negs) of each factor of a scan over the distinct
+    `structure_rows`, negs the factor rows (`_factor_rows`) of the negated
+    structure rows: the two halves apart, each with its distinct half rows,
+    when those counts multiply to the row count (the fold into halves is
+    injective, so the set is their product), else the whole element."""
     vec = RG.ring.vec
     halves = unit_halves(RG.group)
-    parts = [h.rows(vec, vec.neg(structure_rows)) for h in halves]
+    negs = _factor_rows(vec, halves, vec.neg(structure_rows))
     if len(halves) == 2:
-        # np.unique on one void scalar a row: on axis=0 it takes ~8x longer
-        row = np.dtype((np.void, 8 * parts[0].shape[1]))
-        distinct = [np.unique(p.view(row)).view(np.int64).reshape(-1, p.shape[1]) for p in parts]
+        parts = np.hsplit(negs, 2)
+        distinct = [np.unique(_row_keys(p)).view(np.int64).reshape(-1, p.shape[1]) for p in parts]
         if distinct[0].shape[0] * distinct[1].shape[0] == structure_rows.shape[0]:
-            return [([h], [d]) for h, d in zip(halves, distinct)]
-    return [(halves, parts)]
+            return [([h], d) for h, d in zip(halves, distinct)]
+    return [(halves, negs)]
 
 
 def _scan(
@@ -320,18 +325,19 @@ def _scan(
     """Scan RG for an element with no unit + structure-row decomposition.
 
     Elements are decided on their factors (`_factors`), one block of the
-    stream at a time (see `_block_sizes`) and factor by factor: for each
-    slice of a factor's structure parts in order, the block's still
-    undecided factor rows minus those parts go through the split unit test
+    stream at a time (see `_block_bounds`) and factor by factor: for each
+    slice of a factor's negated structure rows in order, the block's still
+    undecided factor rows plus those go through the factor's unit test
     (`_is_unit_codes`), and the rows with a unit among them leave.  A slice
-    is one part while many rows are undecided and widens to about
+    is one row while many rows are undecided and widens to about
     _SLICE_CANDIDATES candidates as they leave.  An element has no
     decomposition iff one of its factor rows is left undecided after the
-    last part: its mask is the OR of its factors', so a factor decides only
+    last slice: its mask is the OR of its factors', so a factor decides only
     the elements the ones before it left decomposable.  The first such
     element in stream order is the counterexample, and `tested` counts the
-    stream up to it, as an element-by-element scan would.  A factor with at
-    most _CACHE_CAP base-q values keeps its decisions in a status table.
+    stream up to it, as an element-by-element scan would.  Each factor keeps
+    one unit table and one decision table (`_memo`), each over the base-q
+    values of its rows while there are at most _CACHE_CAP of them.
 
     The result is certified whenever it is not None: False needs a complete
     structure set behind the counterexample, True an exhaustive scan.
@@ -340,41 +346,30 @@ def _scan(
     size = structure_rows.shape[0]
     R, vec = RG.ring, RG.ring.vec
     factors = [
-        (halves, [_status_table(R.order, h.T.shape[0]) for h in halves], negs,
-         *_status_table(R.order, sum(h.T.shape[0] for h in halves)))
+        (halves, _status_table(R.order, negs.shape[1]), negs, _status_table(R.order, negs.shape[1]))
         for halves, negs in _factors(RG, structure_rows)
     ]
 
-    def stuck(halves, tables, negs, parts: list[np.ndarray]) -> np.ndarray:
-        """Mask of the factor rows, given by their half rows, with no decomposition."""
-        undecided = np.arange(parts[0].shape[0])
+    def stuck(halves, units, negs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Mask of the factor rows with no decomposition."""
+        undecided = np.arange(rows.shape[0])
         start = 0
-        while undecided.size and start < len(negs[0]):
-            stop = min(len(negs[0]), start + max(1, _SLICE_CANDIDATES // undecided.size))
-            cands = [
-                vec.add(part[undecided][:, None], neg[None, start:stop]).reshape(-1, part.shape[1])
-                for part, neg in zip(parts, negs)
-            ]
+        while undecided.size and start < negs.shape[0]:
+            stop = min(negs.shape[0], start + max(1, _SLICE_CANDIDATES // undecided.size))
+            cands = vec.add(rows[undecided][:, None], negs[None, start:stop]).reshape(-1, negs.shape[1])
             start = stop
-            units = _is_unit_codes(R, halves, tables, cands).reshape(undecided.size, -1)
-            undecided = undecided[~units.any(axis=1)]
-        return np.bincount(undecided, minlength=parts[0].shape[0]) > 0
+            hit = _is_unit_codes(R, halves, units, cands).reshape(undecided.size, -1)
+            undecided = undecided[~hit.any(axis=1)]
+        return np.bincount(undecided, minlength=rows.shape[0]) > 0
 
     blocks, mode = _element_stream(RG, budget)
     tested = 0
     for block in blocks:
         no = np.zeros(block.shape[0], dtype=bool)
-        for halves, tables, negs, memo, weights in factors:
+        for halves, units, negs, decided in factors:
             todo = np.flatnonzero(~no)
-            parts = [h.rows(vec, block[todo]) for h in halves]
-            if memo is None:
-                no[todo] = stuck(halves, tables, negs, parts)
-                continue
-            keys = np.concatenate(parts, axis=1) @ weights
-            fresh = np.flatnonzero(memo[keys] == _UNKNOWN)
-            new, first = np.unique(keys[fresh], return_index=True)
-            memo[new] = np.where(stuck(halves, tables, negs, [p[fresh[first]] for p in parts]), _NO, _YES)
-            no[todo] = memo[keys] == _NO
+            rows = _factor_rows(vec, halves, block[todo])
+            no[todo] = _memo(*decided, rows, lambda new: stuck(halves, units, negs, new))
         if not no.any():
             tested += block.shape[0]
             continue
@@ -419,7 +414,7 @@ def element_star_clean(
 
     Projections come chunk by chunk (one when constructed) in the order of
     :func:`projection_set`, and alpha minus each slice of a chunk (growing
-    as the blocks of a scan do, see `_block_sizes`) takes one batched unit
+    as the blocks of a scan do, see `_block_bounds`) takes one batched unit
     test on the halves (`groupring.unit_mask`); the search stops at the
     first slice with a unit, so the rest of a filtered set is never built.
     A sampled set is built whole and sorted first.  A None is conclusive

@@ -1,12 +1,12 @@
 """Shared fixtures, plus the oracles that the runtime does not need:
 exhaustive enumeration of RG, dense group-ring arithmetic over all |G|
 coefficients, the per-group-element convolution, the GF(p^k) digit
-product reduced digit by digit, the unsplit unit test on
-the whole regular representation, the element-by-element brute-force
-scan, the block-by-block witness condition-2 check, Theorem B's
-biconditional, the closed-form involution on (RG)f, the problem element of
-a witness, the single-formula SLC table, and the group-theoretic checks on
-built groups."""
+product reduced digit by digit, the plain least-irreducible search, the
+unsplit unit test on the whole regular representation, the
+element-by-element brute-force scan, the block-by-block witness
+condition-2 check, Theorem B's biconditional, the closed-form involution
+on (RG)f, the problem element of a witness, the single-formula SLC table,
+and the group-theoretic checks on built groups."""
 
 import itertools
 
@@ -241,6 +241,17 @@ def reference_gf_mul_digits(A, B, rows, p):
     return out
 
 
+def reference_least_irreducible(p, k):
+    """The plain search for the least monic irreducible of degree k over
+    F_p: a Rabin test on every candidate in the base-p digit order of 0, 1,
+    2, ... (constant term first), binomials x^k + c included."""
+    for n in range(p**k):
+        candidate = tuple(n // p**i % p for i in range(k)) + (1,)
+        if coeff._is_irreducible(candidate, p):
+            return candidate
+    raise AssertionError("no irreducible polynomial found")
+
+
 def reference_convolve(RG, A, B):
     """Row-wise products of code rows, one modular update per group element
     g: out[:, g h] += A[:, g] * B[:, h] by the ring's `vec` add and mul."""
@@ -467,23 +478,27 @@ def reference_scan(RG, structure_rows, structure_full, prop, budget):
     """The element-by-element scan: each element of the stream in order
     against each structure row p in order, with alpha - p tested by the
     unsplit `reference_is_unit` behind a memo on its codes, up to the first
-    element with no decomposition."""
+    element with no decomposition.  An element seen before in the stream
+    takes its decision from a memo on its codes."""
     R = RG.ring
     size = structure_rows.shape[0]
     neg_rows = R.vec.neg(structure_rows)
-    memo = {}
+    units, decomposes = {}, {}
 
     def unit(codes):
         key = tuple(codes.tolist())
-        if key not in memo:
-            memo[key] = reference_is_unit(RG.from_coeffs(R.decode(c) for c in key))
-        return memo[key]
+        if key not in units:
+            units[key] = reference_is_unit(RG.from_coeffs(R.decode(c) for c in key))
+        return units[key]
 
     stream, mode = reference_stream(RG, budget)
     tested = 0
     for codes in stream:
         tested += 1
-        if any(unit(R.vec.add(codes, neg)) for neg in neg_rows):
+        key = tuple(codes.tolist())
+        if key not in decomposes:
+            decomposes[key] = any(unit(R.vec.add(codes, neg)) for neg in neg_rows)
+        if decomposes[key]:
             continue
         alpha = RG.from_coeffs(R.decode(int(c)) for c in codes)
         if structure_full:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import reference_gf_mul_digits, reference_three_squares
+from conftest import reference_gf_mul_digits, reference_least_irreducible, reference_three_squares
 from starclean import coeff, numtheory
 from starclean.errors import CharDividesError, NonUnitError, ParseError, RingSpecError
 
@@ -406,6 +406,30 @@ def test_modulus_is_least_irreducible_by_sympy(p, k):
     for n in range(code):
         candidate = [n // p**i % p for i in range(k)] + [1]
         assert not gf_irreducible_p(_high_first(candidate), p, ZZ), candidate
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_least_irreducible_matches_the_plain_search(p, k):
+    """Skipping the binomials where none is irreducible (a prime factor of k
+    not dividing p - 1, or 4 | k with p = 3 mod 4) keeps the modulus."""
+    assert coeff._least_irreducible(p, k) == reference_least_irreducible(p, k)
+
+
+def test_least_irreducible_skips_the_binomials_of_large_p(monkeypatch):
+    """F_10007 (3 does not divide p - 1) finds x^3 + x + 1 in a few Rabin
+    tests, not after all 10,007 binomials, and F_(10^9+7)^3 builds."""
+    rabin = coeff._is_irreducible
+    tests = []
+    monkeypatch.setattr(coeff, "_is_irreducible", lambda f, p: tests.append(f) or rabin(f, p))
+    coeff._least_irreducible.cache_clear()
+    assert coeff.FiniteField(10007, 3).modulus == (1, 1, 0, 1)
+    assert 0 < len(tests) <= 24
+    tests.clear()
+    p = 10**9 + 7
+    R = coeff.make_ring(f"F{p}^3")
+    assert R.order == p**3 and R.modulus[1:] == (1, 0, 1) and 0 < len(tests) <= 24
+    assert all(not rabin((c, 1, 0, 1), p) for c in range(R.modulus[0]))
 
 
 # ---------------------------------------------------------------- three squares

@@ -264,7 +264,8 @@ _SWEEP_16 = [
 def _one_factor(RG, rows):
     """`decide._factors` held to its whole-element factor."""
     halves = gr.unit_halves(RG.group)
-    return [(halves, [h.rows(RG.ring.vec, RG.ring.vec.neg(rows)) for h in halves])]
+    negs = RG.ring.vec.neg(rows)
+    return [(halves, np.concatenate([h.rows(RG.ring.vec, negs) for h in halves], axis=1))]
 
 
 def _structure(RG, sigma, prop, budget):
@@ -308,7 +309,7 @@ def test_factored_clean_reproducer_matches_reference_and_one_factor(monkeypatch)
     RG, _ = _carrier("Q8", "F3", "classical")
     budget = Budget(full_scan_limit=1000)
     rows, full = decide.idempotent_set(RG, budget)
-    assert [parts[0].shape[0] for _, parts in decide._factors(RG, rows)] == [16, 14]
+    assert [negs.shape for _, negs in decide._factors(RG, rows)] == [(16, 4), (14, 4)]
     got = decide.brute_clean(RG.group, RG.ring, budget)
     monkeypatch.setattr(decide, "_factors", _one_factor)
     assert got.to_json() == decide.brute_clean(RG.group, RG.ring, budget).to_json()
@@ -326,7 +327,7 @@ def test_sampled_product_sets_split(spec, ring):
     rows, full = decide.projection_set(RG, sigma)
     factors = decide._factors(RG, rows)
     assert not full and len(factors) == 2
-    assert factors[0][1][0].shape[0] * factors[1][1][0].shape[0] == rows.shape[0]
+    assert factors[0][1].shape[0] * factors[1][1].shape[0] == rows.shape[0]
 
 
 def test_split_is_refused_off_the_index_layout_and_off_products():
@@ -338,12 +339,12 @@ def test_split_is_refused_off_the_index_layout_and_off_products():
     assert [len(halves) for halves, _ in decide._factors(RG, rows)] == [1]
     RG, sigma = _carrier("Q8", "F3", "canonical")
     rows, full = decide.projection_set(RG, sigma)
-    assert full and [p[0].shape[0] for _, p in decide._factors(RG, rows)] == [16, 2]
+    assert full and [negs.shape for _, negs in decide._factors(RG, rows)] == [(16, 4), (2, 4)]
     for drop in (0, 13, 31):
         fewer = np.delete(rows, drop, axis=0)
-        (halves, parts), = decide._factors(RG, fewer)
-        assert len(halves) == 2 and [p.shape[0] for p in parts] == [31, 31]
-        assert [np.unique(p, axis=0).shape[0] for p in parts] == [16, 2]
+        (halves, negs), = decide._factors(RG, fewer)
+        assert len(halves) == 2 and negs.shape == (31, 8)
+        assert [np.unique(p, axis=0).shape[0] for p in np.hsplit(negs, 2)] == [16, 2]
 
 
 @pytest.mark.parametrize(
@@ -425,14 +426,19 @@ def _unit_probe_rows(RG, rng, count=60):
     return np.concatenate([uniform, two_term, biased]).astype(np.int64)
 
 
-def _halves_and_tables(RG):
-    halves = gr.unit_halves(RG.group)
-    return halves, [decide._status_table(RG.ring.order, h.T.shape[0]) for h in halves]
+def _unit_table(RG, halves):
+    """A factor's unit table: one over the rows of all its halves."""
+    return decide._status_table(RG.ring.order, sum(h.T.shape[0] for h in halves))
 
 
-def _split_mask(RG, halves, tables, codes):
-    rows = [h.rows(RG.ring.vec, codes) for h in halves]
-    return decide._is_unit_codes(RG.ring, halves, tables, rows)
+def _split_mask(RG, halves, units, codes):
+    rows = np.concatenate([h.rows(RG.ring.vec, codes) for h in halves], axis=1)
+    return decide._is_unit_codes(RG.ring, halves, units, rows)
+
+
+def _apart_mask(RG, halves, tables, codes):
+    """Units on every half, each half a factor with its own unit table."""
+    return np.logical_and.reduce([_split_mask(RG, [h], t, codes) for h, t in zip(halves, tables)])
 
 
 def _oracle_mask(RG, codes):
@@ -445,35 +451,45 @@ def _oracle_mask(RG, codes):
 def test_split_unit_mask_matches_unsplit_is_unit(ring, monkeypatch):
     """On every SLC carrier of order <= 16, on a lift group H x C2 and on
     C3xC2 (no index layout: one block of |G| dims), the unit mask decided on
-    the e/f halves is the unsplit elimination's on the whole regular
-    representation, and so is groupring.is_unit's.  A repeated call answers
-    from the halves' tables alone."""
+    the e/f halves, as one factor and as two, is the unsplit elimination's
+    on the whole regular representation, and so is groupring.is_unit's.  A
+    call makes one stacked `half_units` call, and a repeated call answers
+    from the factor's one unit table alone, or from each half's."""
     R = coeff.make_ring(ring)
     carriers = [S.group for S in _slc_carriers_up_to_16()]
     carriers += [groups.direct_product(groups.build_abelian((3, 2)), groups.cyclic_group(2))]
     carriers += [groups.build_abelian((3, 2))]
     rng = np.random.default_rng(7)
-    kernel = _linalg.is_invertible_codes
-    calls = []
+    kernel, stacked = _linalg.is_invertible_codes, decide.half_units
+    calls, stacks = [], []
     monkeypatch.setattr(
         _linalg, "is_invertible_codes", lambda ring, M: calls.append(M.shape[0]) or kernel(ring, M)
+    )
+    monkeypatch.setattr(
+        decide, "half_units", lambda ring, hs, rows: stacks.append(len(hs)) or stacked(ring, hs, rows)
     )
     seen = set()
     for G in carriers:
         RG = gr.GroupRing(G, R)
         codes = _unit_probe_rows(RG, rng)
-        halves, tables = _halves_and_tables(RG)
+        halves = gr.unit_halves(G)
+        units, apart = _unit_table(RG, halves), [_unit_table(RG, [h]) for h in halves]
         assert len(halves) == (1 if G.order == 6 else 2)
         ref = _oracle_mask(RG, codes)
         assert not ref[-20:].any()
-        assert np.array_equal(_split_mask(RG, halves, tables, codes), ref), G.order
+        stacks.clear()
+        assert np.array_equal(_split_mask(RG, halves, units, codes), ref), G.order
+        assert stacks == [len(halves)]
+        assert np.array_equal(_apart_mask(RG, halves, apart, codes), ref), G.order
         elements = (RG.from_coeffs(R.decode(int(c)) for c in row) for row in codes[::7])
         assert [gr.is_unit(a) for a in elements] == ref[::7].tolist()
         seen.update(ref.tolist())
         calls.clear()
-        assert np.array_equal(_split_mask(RG, halves, tables, codes), ref)
-        if all(t is not None for t, _ in tables):
-            assert not calls
+        assert np.array_equal(_split_mask(RG, halves, units, codes), ref)
+        assert units[0] is None or not calls
+        calls.clear()
+        assert np.array_equal(_apart_mask(RG, halves, apart, codes), ref)
+        assert any(t is None for t, _ in apart) or not calls
     assert seen == {True, False}
 
 
@@ -485,8 +501,10 @@ def test_split_unit_mask_without_tables_keeps_rows_apart():
     v + 2^64, whose base-27 values wrap to one int64; not duplicates."""
     RG, _ = _carrier("Q8xC2", "F3^3", "classical")
     R, q, n = RG.ring, 27, 16
-    halves, tables = _halves_and_tables(RG)
-    assert q ** (n // 2) > decide._CACHE_CAP and all(t is None for t, _ in tables)
+    halves = gr.unit_halves(RG.group)
+    units, apart = _unit_table(RG, halves), [_unit_table(RG, [h]) for h in halves]
+    assert q ** (n // 2) > decide._CACHE_CAP and units == (None, None)
+    assert all(t is None for t, _ in apart)
     half = R.encode(R.half)
     e, e_gf = np.zeros((2, n), dtype=np.int64)
     e[:2] = e_gf[:2] = half
@@ -497,7 +515,50 @@ def test_split_unit_mask_without_tables_keeps_rows_apart():
     codes = np.concatenate([[e, e_gf], wrapped, probe, probe[::-1], wrapped[::-1], [e_gf, e]])
     ref = _oracle_mask(RG, codes)
     assert not ref[0] and ref[1]
-    assert np.array_equal(_split_mask(RG, halves, tables, codes), ref)
+    assert np.array_equal(_split_mask(RG, halves, units, codes), ref)
+    assert np.array_equal(_apart_mask(RG, halves, apart, codes), ref)
+
+
+def test_memo_decides_each_distinct_unknown_row_once():
+    """`decide._memo` calls `decide` once a call, on the distinct rows its
+    table does not know, and reads the rest back; a repeat call with a table
+    decides nothing.  Without a table it decides the distinct rows of each
+    call, and rows whose base-q values wrap to one int64 stay apart."""
+    decided = []
+
+    def parity(rows):
+        decided.append(rows.copy())
+        return rows.sum(axis=1) % 2 == 1
+
+    def distinct(rows):
+        return {tuple(r) for r in rows.tolist()}
+
+    rng = np.random.default_rng(5)
+    rows = rng.integers(0, 3, size=(40, 6))
+    rows = np.concatenate([rows, rows[::-1], rows[:5]])
+    table, weights = decide._status_table(3, 6)
+    assert table.shape == (3**6,)
+    assert np.array_equal(decide._memo(table, weights, rows, parity), rows.sum(axis=1) % 2 == 1)
+    assert len(decided) == 1 and len(decided[0]) == len(distinct(decided[0])) == len(distinct(rows))
+    decided.clear()
+    assert np.array_equal(decide._memo(table, weights, rows[::-1], parity), rows[::-1].sum(axis=1) % 2 == 1)
+    assert not decided
+    more = np.concatenate([rows[:7], rng.integers(0, 3, size=(30, 6)), rows[-3:]])
+    assert np.array_equal(decide._memo(table, weights, more, parity), more.sum(axis=1) % 2 == 1)
+    assert len(decided) == 1 and distinct(decided[0]) == distinct(more) - distinct(rows)
+    decided.clear()
+    assert not decide._memo(table, weights, rows[:0], parity).size and not decided
+
+    q, n = 27, 16
+    assert decide._status_table(q, n) == (None, None)
+    wrapped = np.array([[v // q**i % q for i in range(n)] for v in (123456789, 123456789 + 2**64)])
+    assert len(set((wrapped @ q ** np.arange(n, dtype=np.int64)).tolist())) == 1
+    codes = np.concatenate([wrapped, wrapped[::-1], wrapped])
+    for _ in range(2):
+        decided.clear()
+        got = decide._memo(None, None, codes, lambda r: decided.append(r) or (r == wrapped[1]).all(axis=1))
+        assert got.tolist() == [False, True, True, False, False, True]
+        assert len(decided) == 1 and distinct(decided[0]) == distinct(wrapped) and len(decided[0]) == 2
 
 
 def _eager_first_decomposition(alpha, sigma, budget):
