@@ -19,7 +19,7 @@ import numpy as np
 
 from .coeff import CoefficientRing, Payload
 from .errors import BudgetError, NotInFComponentError, PreconditionError
-from .groupring import GroupRing, GroupRingElement, commutative_idempotents
+from .groupring import GroupRing, GroupRingElement, f_projection_rows
 from .groups import SLCStructure
 
 DEFAULT_F_BUDGET = 1 << 22
@@ -119,7 +119,7 @@ def f_projections(
         raise BudgetError(f"{R!r} is infinite; its projections cannot be enumerated")
     if R.order**dims > budget:
         raise BudgetError(f"|R|^{dims} candidates exceed budget {budget}")
-    rows = commutative_idempotents(S.group.mul[:nz, :nz], R, s=S.s)
+    rows = f_projection_rows(S.group, R, nz)
     # lexsort's primary key is its last: the first d coefficient runs fastest
-    rows = np.pad(rows[np.lexsort(rows[:, 0::2].T)], ((0, 0), (0, S.group.order - nz)))
+    rows = rows[np.lexsort(rows[:, 0:nz:2].T)]
     return [RG.from_coeffs(R.decode(int(c)) for c in row) for row in rows]

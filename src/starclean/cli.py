@@ -204,7 +204,7 @@ def run(job: JobSpec) -> tuple[int, dict]:
         else:
             report["witness"] = w.to_dict()
             report["outcome"] = "witness-found"
-            report["certificates"] = [{"kind": "witness", **w.to_dict()}]
+            report["certificates"] = [w.certificate()]
             _maybe_explain(report, gobj, ring, job)
             code = 1
         report["timings"] = {"total_s": round(time.perf_counter() - t_start, 6)}
@@ -421,7 +421,7 @@ def main(argv=None) -> int:
         print(f"DISCREPANCY: {exc}", file=sys.stderr)
         return 6
     if job.output_json:
-        print(json.dumps(report, sort_keys=True, indent=2, default=str))
+        print(json.dumps(report, sort_keys=True, indent=2))
     else:
         print(_render_text(report))
     return code

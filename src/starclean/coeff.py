@@ -911,16 +911,14 @@ def _cyclotomic_three_squares(F: CyclotomicField) -> SolveOutcome:
         sol = ThreeSquaresSolution(F, i, F.zero, F.zero)
         assert sol.verify()
         return sol
-    d_odd = d if d % 2 == 1 else d // 2
-    for p, _ in numtheory.factorize(d_odd):
-        n = numtheory.exists_n_dividing(p)
-        if n is not None:
-            # p divides 2^n + 1: the two-squares chain is explicit
-            x, y = _two_squares_from_root_chain(F, p, n)
-            sol = ThreeSquaresSolution(F, x, y, F.zero)
-            assert sol.verify()
-            return sol
-    # every p | d_odd has odd ord_p(2), so the local degree ord_{d_odd}(2) at 2
+    excluded = numtheory.least_excluded_prime(d)
+    if excluded is not None:
+        # (p, n) with p | d and p | 2^n + 1: the two-squares chain is explicit
+        x, y = _two_squares_from_root_chain(F, *excluded)
+        sol = ThreeSquaresSolution(F, x, y, F.zero)
+        assert sol.verify()
+        return sol
+    # every odd p | d has odd ord_p(2), so the local degree ord_{d_odd}(2) at 2
     # is odd: -1 is not a sum of two squares, and as levels are powers of 2,
     # not of three either
     return NO_SOLUTION

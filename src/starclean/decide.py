@@ -2,8 +2,9 @@
 
 The theory side turns the necessary conditions (structure, order-4 and
 excluded-prime elements in the abelian factor, solvability of
-X^2+Y^2+Z^2+1 = 0) plus the field-coefficient biconditional into Verdicts
-with citation-tagged reasons and machine-checked certificates.  The brute
+X^2+Y^2+Z^2+1 = 0; a failure cites its witness case's `witness.CASES`
+reason) plus Theorem C over the coefficient field into Verdicts with
+citation-tagged reasons and machine-checked certificates.  The brute
 side enumerates or samples RG in blocks of elements, decided on factors:
 the e and f halves of `groupring.unit_halves` apart when the structure
 set's distinct half rows multiply to its row count, else the whole element.
@@ -29,6 +30,7 @@ from .groupring import (
     GroupRing,
     GroupRingElement,
     Half,
+    _codes,
     candidate_rows,
     counter_digits,
     half_units,
@@ -426,7 +428,7 @@ def element_star_clean(
     if not full:
         chunks = [_sorted_rows(chunks)]
     R = alpha.ring
-    codes = np.array([R.encode(c) for c in alpha.coeffs], dtype=np.int64)
+    codes = _codes(alpha)
     for projs in chunks:
         for a, b in _block_bounds(projs.shape[0]):
             rows = projs[a:b]
@@ -443,16 +445,6 @@ def element_star_clean(
 # --------------------------------------------------------------------------
 # theory side
 # --------------------------------------------------------------------------
-
-_CASE_CITATION = {
-    witness_mod.CASE_TYPE1: ("structure", "TheoremA.structure"),
-    witness_mod.CASE_TYPE345: ("structure", "TheoremA.structure"),
-    witness_mod.CASE_TYPE2_LARGE_M: ("structure", "TheoremA.structure"),
-    witness_mod.CASE_ORDER4: ("order-4-element", "TheoremA.1"),
-    witness_mod.CASE_EXCLUDED_PRIME: ("excluded-prime", "TheoremA.2"),
-    witness_mod.CASE_THREE_SQUARES: ("equation-solvable", "TheoremA.equation"),
-}
-
 
 def necessary_conditions(S: SLCStructure, R: CoefficientRing) -> Verdict:
     """The four necessary checks in order: G = Q8 x A, no order-4 element of
@@ -473,13 +465,10 @@ def necessary_conditions(S: SLCStructure, R: CoefficientRing) -> Verdict:
                 )
             ],
         )
-    criterion, citation = _CASE_CITATION[w.case_tag]
-    reasons = [Reason(criterion, citation, dict(w.data))]
-    if (
-        w.case_tag == witness_mod.CASE_EXCLUDED_PRIME
-        and isinstance(R, RationalField)
-        and w.data.get("p", 0) % 8 in (3, 5)
-    ):
+    case = witness_mod.CASES[w.case_tag]
+    reasons = [Reason(case.criterion, case.citation, dict(w.data))]
+    # only the excluded-prime witness carries p, only the three-squares one a triple
+    if isinstance(R, RationalField) and w.data.get("p", 0) % 8 in (3, 5):
         reasons.append(
             Reason(
                 "rational-excluded-prime",
@@ -488,8 +477,8 @@ def necessary_conditions(S: SLCStructure, R: CoefficientRing) -> Verdict:
             )
         )
     reasons.append(Reason("witness", "Lemma5.1", {"case": w.case_tag}))
-    certs = [{"kind": "witness", **w.to_dict()}]
-    if w.case_tag == witness_mod.CASE_THREE_SQUARES:
+    certs = [w.certificate()]
+    if "triple" in w.data:
         certs.append({"kind": "three-squares", "triple": w.data["triple"], "ring": R.spec_string()})
     return Verdict(Status.NOT_STAR_CLEAN, reasons, certs)
 
@@ -534,78 +523,50 @@ def perlis_walker(F: CoefficientRing, A: FiniteGroup) -> PerlisWalkerDecompositi
     return PerlisWalkerDecomposition(tuple(comps))
 
 
-def theorem_c_decide(fields: Sequence[CoefficientRing], A: FiniteGroup) -> Verdict:
-    """Semisimple-coefficient biconditional for G = Q8 x A: *-clean iff the
-    equation has no solution in any F_i(zeta_d) for d an element order of A.
+def theorem_c_decide(F: CoefficientRing, A: FiniteGroup) -> Verdict:
+    """Semisimple-coefficient biconditional for G = Q8 x A over the field F:
+    *-clean iff the equation has no solution in F(zeta_d) for any element
+    order d of A.
 
     A component that only the local-degree rule shows unsolvable, beyond the
     paper's level table, gets its own reason carrying the checkable data."""
     if not A.is_abelian():
         raise PreconditionError("A must be abelian")
-    for F in fields:
-        if not F.is_field:
-            raise PreconditionError(f"{F!r} is not a field")
-        if F.char and (8 * A.order) % F.char == 0:
-            raise CharDividesError(f"char {F.char} divides |G| = {8 * A.order}")
+    if not F.is_field:
+        raise PreconditionError(f"{F!r} is not a field")
+    if F.char and (8 * A.order) % F.char == 0:
+        raise CharDividesError(f"char {F.char} divides |G| = {8 * A.order}")
     ds = sorted(set(element_orders(A).tolist()))
     reasons = []
-    certs = []
-    solution_found = None
-    for F in fields:
-        for d in ds:
-            E = coeff.extend_with_root(F, d)
-            out = coeff.solve_three_squares(E)
-            if isinstance(out, coeff.ThreeSquaresSolution):
-                solution_found = (F, d, out)
-                certs.append(
-                    {
-                        "kind": "three-squares",
-                        "ring": E.spec_string(),
-                        "component": {"field": F.spec_string(), "d": d},
-                        "triple": out.as_strings(),
-                    }
+    for d in ds:
+        E = coeff.extend_with_root(F, d)
+        out = coeff.solve_three_squares(E)
+        if isinstance(out, coeff.ThreeSquaresSolution):
+            component = {"field": F.spec_string(), "d": d}
+            cert = {"kind": "three-squares", "ring": E.spec_string(),
+                    "component": dict(component), "triple": out.as_strings()}
+            reasons.insert(0, Reason("equation-solvable-in-component", "TheoremC", component))
+            return Verdict(Status.NOT_STAR_CLEAN, reasons, [cert])
+        local = coeff.local_degree_beyond_paper(E)
+        if local is not None:
+            reasons.append(
+                Reason(
+                    "equation-unsolvable-local-degree",
+                    "FeinGordonSmith1971",
+                    {**local, "basis": "beyond-paper:local-degree"},
                 )
-                break
-            local = coeff.local_degree_beyond_paper(E)
-            if local is not None:
-                reasons.append(
-                    Reason(
-                        "equation-unsolvable-local-degree",
-                        "FeinGordonSmith1971",
-                        {**local, "basis": "beyond-paper:local-degree"},
-                    )
-                )
-        if solution_found:
-            break
-    if solution_found:
-        F, d, out = solution_found
-        reasons.insert(
-            0,
-            Reason(
-                "equation-solvable-in-component",
-                "TheoremC",
-                {"field": F.spec_string(), "d": d},
-            ),
-        )
-        return Verdict(Status.NOT_STAR_CLEAN, reasons, certs)
-    pw_data = []
-    for F in fields:
-        if not isinstance(F, (RationalField, FiniteField)):
-            continue
-        if F.char == 0 or A.order % F.char != 0:
-            pw_data.append(
-                {"field": F.spec_string(), "components": perlis_walker(F, A).to_json()}
             )
     reasons.append(
         Reason(
             "equation-unsolvable-in-all-components",
             "TheoremC",
-            {"fields": [F.spec_string() for F in fields], "ds": ds},
+            {"fields": [F.spec_string()], "ds": ds},
         )
     )
-    if pw_data:
+    if isinstance(F, (RationalField, FiniteField)):  # the guard above makes char(F) prime to |A|
+        pw_data = [{"field": F.spec_string(), "components": perlis_walker(F, A).to_json()}]
         reasons.append(Reason("semisimple-decomposition", "PerlisWalker", {"data": pw_data}))
-    return Verdict(Status.STAR_CLEAN, reasons, certs)
+    return Verdict(Status.STAR_CLEAN, reasons)
 
 
 def decide_star_clean(S: SLCStructure | FiniteGroup, R: CoefficientRing) -> Verdict:
@@ -628,7 +589,7 @@ def decide_star_clean(S: SLCStructure | FiniteGroup, R: CoefficientRing) -> Verd
         raise AssertionError("non-Q8 structures always fail a necessary condition")
     A = build_abelian(S.abelian)
     if R.is_field and (R.char == 0 or (8 * A.order) % R.char != 0):
-        tc = theorem_c_decide([R], A)
+        tc = theorem_c_decide(R, A)
         verdict = Verdict(tc.status, nec.reasons + tc.reasons, tc.certificates)
         if tc.status is Status.STAR_CLEAN and isinstance(R, RationalField):
             if len(S.abelian) == 1 and numtheory.is_prime(S.abelian[0]) and S.abelian[0] % 8 == 7:

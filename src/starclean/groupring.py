@@ -348,7 +348,7 @@ def _canonical_center(G: FiniteGroup, sigma: InvolutionMap) -> Optional[int]:
     central = (G.mul == G.mul.T).all(axis=1)
     nz = int(central.sum())
     canonical = np.array_equal(sigma.image, np.where(central, idx, idx ^ 1))
-    ok = canonical and central[:nz].all() and _half_index(G) is not None and sigma.check()
+    ok = canonical and central[:nz].all() and len(unit_halves(G)) == 2 and sigma.check()
     return nz if ok else None
 
 
@@ -406,8 +406,14 @@ def projection_rows(RG: GroupRing, sigma: InvolutionMap) -> Optional[np.ndarray]
         return None
     e = unit_halves(G)[0]
     E = e.scatter(R, commutative_idempotents(e.table, R))
-    F = np.pad(commutative_idempotents(G.mul[:nz, :nz], R, s=1), ((0, 0), (0, G.order - nz)))
+    F = f_projection_rows(G, R, nz)
     return np.unique(R.vec.add(E[:, None], F[None]).reshape(-1, G.order), axis=0)
+
+
+def f_projection_rows(G: FiniteGroup, R: CoefficientRing, nz: int) -> np.ndarray:
+    """The projections eps*f = eps of (RG)f, eps an idempotent of R[Z(G)](1 - s)/2,
+    as code rows of RG, unsorted; Z(G) is the first `nz` indices, s index 1."""
+    return np.pad(commutative_idempotents(G.mul[:nz, :nz], R, s=1), ((0, 0), (0, G.order - nz)))
 
 
 def regular_representation(alpha: GroupRingElement) -> list[list[Payload]]:

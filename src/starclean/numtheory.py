@@ -95,6 +95,13 @@ def exists_n_dividing(p: int) -> Optional[int]:
     return order // 2 if order % 2 == 0 else None
 
 
+def least_excluded_prime(m: int) -> Optional[tuple[int, int]]:
+    """(p, n) for the least odd prime p | m with p | 2^n + 1 for some n, n
+    the least such (`exists_n_dividing`); None when m has no such prime."""
+    hits = ((p, exists_n_dividing(p)) for p, _ in factorize(m) if p % 2)
+    return next(((p, n) for p, n in hits if n is not None), None)
+
+
 def crt(residues: list[int], moduli: list[int]) -> int:
     """Solve x = r_i mod m_i for pairwise coprime moduli."""
     x, m = 0, 1

@@ -5,13 +5,15 @@ non-*-cleanness witnesses with the six case constructions, and lifting of
 A witness is a pair (gamma, tau_w) with (1 - gamma^2) tau_w (1 - s) = 0 and
 (z - 4^-1 gamma) tau_w (1 - s) != 0 for every z in R Z(G); its existence
 certifies that RG is not *-clean.  tau_w is named to avoid the clash with
-the transversal.
+the transversal.  `CASES` is the one table of the six cases: the reason
+`decide` cites for each and the element condition 2 reduces to, which the
+case's construction in `generate_witness` checks where it builds the pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -130,6 +132,9 @@ class NonCleanWitness:
             "validation": self.validation,
         }
 
+    def certificate(self) -> dict:
+        return {"kind": "witness", **self.to_dict()}
+
 
 @dataclass(eq=False)
 class CheckOutcome:
@@ -139,10 +144,6 @@ class CheckOutcome:
     @property
     def is_valid(self) -> bool:
         return self.status == "valid"
-
-
-def _one_minus_s(RG: GroupRing, s_index: int) -> GroupRingElement:
-    return RG.one() - RG.basis(s_index)
 
 
 def check_witness(
@@ -163,8 +164,8 @@ def check_witness(
     if int(sigma.image[s_index]) != s_index:
         raise PreconditionError("involution must fix s")
     RG = GroupRing(G, R)
-    oms = _one_minus_s(RG, s_index)
     one = RG.one()
+    oms = one - RG.basis(s_index)
     if not ((one - w.gamma * w.gamma) * w.tau_w * oms).is_zero():
         return CheckOutcome("condition1")
     members = list(center(G).members)
@@ -200,32 +201,28 @@ CASE_EXCLUDED_PRIME = "excluded-prime"
 CASE_THREE_SQUARES = "three-squares"
 
 
-def _symbolic_condition2(S: SLCStructure, R, case: str, pieces: dict) -> dict:
-    """Per-case reduction of condition 2 to non-vanishing of explicit
-    elements (via the uniqueness of the f-component canonical form)."""
-    quarter = R.inv(R.from_int(4))
-    if case in (CASE_TYPE1, CASE_TYPE2_LARGE_M):
-        ok = not R.is_zero(quarter)
-        reduced = "4^-1 != 0"
-    elif case == CASE_TYPE345:
-        ok = not pieces["tau"].scale(quarter).is_zero()
-        reduced = "4^-1 * sum of distinct central powers of y != 0"
-    elif case == CASE_ORDER4:
-        ok = not pieces["tau"].scale(quarter).is_zero()
-        reduced = "4^-1 * (1 - g^2) != 0"
-    elif case == CASE_EXCLUDED_PRIME:
-        u = pieces["alpha"] * pieces["tau"]
-        v = pieces["beta"] * pieces["tau"]
-        ok = not (u.is_zero() and v.is_zero())
-        reduced = "alpha(g-1) and beta(g-1) not both 0"
-    elif case == CASE_THREE_SQUARES:
-        ok = any(not R.is_zero(a) for a in pieces["triple"])
-        reduced = "some solution coordinate != 0"
-    else:
-        raise AssertionError(case)
-    if not ok:
-        raise AssertionError(f"symbolic condition-2 check failed for {case}")
-    return {"mode": "symbolic", "reduced_to": reduced}
+class Case(NamedTuple):
+    """A witness case: its decide reason and what its condition 2 reduces to."""
+
+    criterion: str
+    citation: str
+    reduced_to: str
+
+
+CASES = {
+    CASE_TYPE1: Case("structure", "TheoremA.structure", "4^-1 != 0"),
+    CASE_TYPE345: Case(
+        "structure", "TheoremA.structure", "4^-1 * sum of distinct central powers of y != 0"
+    ),
+    CASE_TYPE2_LARGE_M: Case("structure", "TheoremA.structure", "4^-1 != 0"),
+    CASE_ORDER4: Case("order-4-element", "TheoremA.1", "4^-1 * (1 - g^2) != 0"),
+    CASE_EXCLUDED_PRIME: Case(
+        "excluded-prime", "TheoremA.2", "alpha(g-1) and beta(g-1) not both 0"
+    ),
+    CASE_THREE_SQUARES: Case(
+        "equation-solvable", "TheoremA.equation", "some solution coordinate != 0"
+    ),
+}
 
 
 def generate_witness(S: SLCStructure, R: CoefficientRing, z_budget: int = DEFAULT_Z_BUDGET):
@@ -234,23 +231,24 @@ def generate_witness(S: SLCStructure, R: CoefficientRing, z_budget: int = DEFAUL
     an element of excluded prime order; a three-squares solution in R.
 
     Returns a validated NonCleanWitness, or None when no case applies; the
-    equation case is always decided (``coeff.solve_three_squares``).  The
-    witness is also checked exhaustively when |R|^|Z(G)| <= z_budget.
+    equation case is always decided (``coeff.solve_three_squares``).  Each
+    case checks its own condition-2 reduction (``CASES``, by the uniqueness
+    of the f-component canonical form); the witness is also checked
+    exhaustively when |R|^|Z(G)| <= z_budget.
     """
     G = S.group
     RG = GroupRing(G, R)
     one = RG.one()
+    oms = one - RG.basis(S.s)
+    quarter = R.inv(R.from_int(4))
     x = RG.basis(S.transversal[1])
     y = RG.basis(S.transversal[2])
     xy = RG.basis(S.transversal[3])
-
-    gamma = tau = None
-    case = None
     data: dict = {}
-    pieces: dict = {}
 
     if S.ptype is Presentation.D1:
         case, gamma, tau = CASE_TYPE1, y, one
+        nonzero = not R.is_zero(quarter)
     elif S.ptype in (Presentation.D3, Presentation.D4, Presentation.D5):
         case = CASE_TYPE345
         r = G.element_order(S.transversal[2])
@@ -261,12 +259,13 @@ def generate_witness(S: SLCStructure, R: CoefficientRing, z_budget: int = DEFAUL
             tau = tau + RG.basis(G.power(S.transversal[2], 2 * i))
         gamma = y
         data["y_order"] = r
-        pieces["tau"] = tau
+        nonzero = not tau.scale(quarter).is_zero()
     elif S.ptype is Presentation.D2 and S.m >= 4:
         case = CASE_TYPE2_LARGE_M
         a_pow = G.power(G.generators["a"], (S.m - 4) // 4)
         gamma, tau = xy * RG.basis(a_pow), one
         data["a_exponent"] = (S.m - 4) // 4
+        nonzero = not R.is_zero(quarter)
     else:
         # G = Q8 x A with A = K: member 2t of K has the mixed-radix exponents
         # of t over A's factors, so its order is the lcm of f / gcd(e_f, f)
@@ -283,44 +282,35 @@ def generate_witness(S: SLCStructure, R: CoefficientRing, z_budget: int = DEFAUL
             gamma = x * g_el
             tau = one - g_el * g_el
             data["g"] = G.names[g4]
-            pieces["tau"] = tau
+            nonzero = not tau.scale(quarter).is_zero()
+        elif (excluded := numtheory.least_excluded_prime(S.ksize)) is not None:
+            p, n = excluded
+            g_idx = least_of_order[p]  # p | |K|, so K has an element of order p
+            case = CASE_EXCLUDED_PRIME
+            g_el = RG.basis(g_idx)
+            alpha, beta = annihilator_pair(g_el, p, n)
+            shift = g_el.pow_int(2 ** (n - 1) + 1)
+            gamma = alpha * shift * x + beta * shift * y
+            tau = g_el - one
+            data.update({"g": G.names[g_idx], "p": p, "n": n})
+            nonzero = not ((alpha * tau).is_zero() and (beta * tau).is_zero())
         else:
-            excluded = None
-            odd_primes = {q for o in least_of_order for q, _ in numtheory.factorize(o) if q % 2}
-            for p in sorted(odd_primes):
-                n = numtheory.exists_n_dividing(p)
-                if n is not None:
-                    excluded = (p, n)
-                    break
-            if excluded is not None:
-                p, n = excluded
-                g_idx = least_of_order[p]
-                case = CASE_EXCLUDED_PRIME
-                g_el = RG.basis(g_idx)
-                alpha, beta = annihilator_pair(g_el, p, n)
-                shift = g_el.pow_int(2 ** (n - 1) + 1)
-                gamma = alpha * shift * x + beta * shift * y
-                tau = g_el - one
-                data.update({"g": G.names[g_idx], "p": p, "n": n})
-                pieces.update({"alpha": alpha, "beta": beta, "tau": tau})
-            else:
-                sol = coeff.solve_three_squares(R)
-                if sol is coeff.NO_SOLUTION:
-                    return None
-                case = CASE_THREE_SQUARES
-                oms = _one_minus_s(RG, S.s)
-                combo = x.scale(sol.x) + y.scale(sol.y) + xy.scale(sol.z)
-                gamma = combo.scale(R.half) * oms
-                tau = one
-                data["triple"] = sol.as_strings()
-                pieces["triple"] = (sol.x, sol.y, sol.z)
+            sol = coeff.solve_three_squares(R)
+            if sol is coeff.NO_SOLUTION:
+                return None
+            case = CASE_THREE_SQUARES
+            combo = x.scale(sol.x) + y.scale(sol.y) + xy.scale(sol.z)
+            gamma = combo.scale(R.half) * oms
+            tau = one
+            data["triple"] = sol.as_strings()
+            nonzero = any(not R.is_zero(a) for a in (sol.x, sol.y, sol.z))
 
-    oms = _one_minus_s(RG, S.s)
-    cond1 = ((one - gamma * gamma) * tau * oms).is_zero()
-    if not cond1:
+    if not ((one - gamma * gamma) * tau * oms).is_zero():
         raise AssertionError(f"condition 1 failed for case {case}")
-    validation = {"condition1": "0"}
-    validation["condition2"] = _symbolic_condition2(S, R, case, pieces)
+    if not nonzero:
+        raise AssertionError(f"symbolic condition-2 check failed for {case}")
+    reduction = {"mode": "symbolic", "reduced_to": CASES[case].reduced_to}
+    validation = {"condition1": "0", "condition2": reduction}
     if R.order is not None and R.order ** S.zsize <= z_budget:
         outcome = check_witness(
             G, R, canonical_involution(S), NonCleanWitness(gamma, tau, case), S.s, z_budget

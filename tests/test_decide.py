@@ -36,6 +36,19 @@ def test_exists_n_rejects_composite():
         numtheory.exists_n_dividing(9)
 
 
+def test_least_excluded_prime_matches_the_plain_search():
+    # the least odd prime p | m dividing some 2^n + 1, n <= p, with the least n
+    for m in range(1, 400):
+        want = next(
+            ((p, n) for p in range(3, m + 1, 2) if m % p == 0 and numtheory.is_prime(p)
+             for n in range(1, p + 1) if (2**n + 1) % p == 0),
+            None,
+        )
+        assert numtheory.least_excluded_prime(m) == want, m
+    assert numtheory.least_excluded_prime(7 * 73 * 5 * 3) == (3, 1)
+    assert numtheory.least_excluded_prime(7 * 73 * 17) == (17, 4)
+
+
 # ---------------------------------------------------------------- necessary conditions
 
 def test_necessary_q8c3_fails_prime_condition(f3, qq):
@@ -113,25 +126,25 @@ def test_perlis_walker_random_mass(qq, f3, f5):
 # ---------------------------------------------------------------- theorem C / B
 
 def test_theorem_c_rational_c7_star_clean(qq):
-    v = decide.theorem_c_decide([qq], groups.cyclic_group(7))
+    v = decide.theorem_c_decide(qq, groups.cyclic_group(7))
     assert v.status is Status.STAR_CLEAN
     assert v.cited("TheoremC")
 
 
 def test_theorem_c_rational_c3_not(qq):
-    v = decide.theorem_c_decide([qq], groups.cyclic_group(3))
+    v = decide.theorem_c_decide(qq, groups.cyclic_group(3))
     assert v.status is Status.NOT_STAR_CLEAN
 
 
 def test_theorem_c_finite_field_trivial_a(f3):
-    v = decide.theorem_c_decide([f3], groups.build_abelian([]))
+    v = decide.theorem_c_decide(f3, groups.build_abelian([]))
     assert v.status is Status.NOT_STAR_CLEAN
     assert v.certificates and v.certificates[0]["kind"] == "three-squares"
 
 
 def test_theorem_c_char_divides(f3):
     with pytest.raises(CharDividesError):
-        decide.theorem_c_decide([f3], groups.cyclic_group(3))
+        decide.theorem_c_decide(f3, groups.cyclic_group(3))
 
 
 def test_theorem_b_examples(f3, qq):
@@ -145,7 +158,7 @@ def test_theorem_b_agrees_with_theorem_c_where_both_apply(qq, f3):
     # rank-0 over a field is the trivial-A case of the semisimple criterion
     for F in (qq, coeff.CyclotomicField(7), f3):
         b = theorem_b_decide(F, 0, True)
-        c = decide.theorem_c_decide([F], groups.build_abelian([]))
+        c = decide.theorem_c_decide(F, groups.build_abelian([]))
         assert b.status == c.status
 
 
@@ -839,6 +852,36 @@ def test_decide_star_clean_q8c7_over_q(qq):
     v = decide.decide_star_clean(s, qq)
     assert v.status is Status.STAR_CLEAN
     assert v.cited("CorollaryA.2")
+
+
+def _necessary_and_theorem_c(p: int, d_reason: list) -> list:
+    return [
+        {"citation": "TheoremA.necessary", "criterion": "necessary-conditions-hold",
+         "data": {"abelian_factors": [p], "structure": "Q8 x A"}},
+        *d_reason,
+        {"citation": "TheoremC", "criterion": "equation-unsolvable-in-all-components",
+         "data": {"ds": [1, p], "fields": ["Q"]}},
+        {"citation": "PerlisWalker", "criterion": "semisimple-decomposition",
+         "data": {"data": [{"components": [{"d": 1, "degree": 1, "multiplicity": 1},
+                                           {"d": p, "degree": p - 1, "multiplicity": 1}],
+                            "field": "Q"}]}},
+    ]
+
+
+@pytest.mark.parametrize("p,reasons", [
+    (7, _necessary_and_theorem_c(7, []) + [
+        {"citation": "CorollaryA.2", "criterion": "rational-prime-factor",
+         "data": {"p": 7, "p_mod_8": 7}}]),
+    (73, _necessary_and_theorem_c(73, [
+        {"citation": "FeinGordonSmith1971", "criterion": "equation-unsolvable-local-degree",
+         "data": {"basis": "beyond-paper:local-degree", "d": 73, "d_odd": 73, "ord_2": 9}}])),
+])
+def test_decide_star_clean_rational_reports_are_pinned(qq, p, reasons):
+    """The whole verdict of Q8 x C_p over Q, reason by reason and in order:
+    Theorem C over the one field Q, then CorollaryA.2 for p = 7, and the
+    local-degree reason, which the paper's level table does not give, for 73."""
+    v = decide.decide_star_clean(groups.build_slc(P.D2, 1, abelian=[p]), qq)
+    assert v.to_json() == {"certificates": [], "reasons": reasons, "status": "star-clean"}
 
 
 def test_decide_star_clean_plain_group_is_out_of_scope(f3):

@@ -291,6 +291,40 @@ def test_generate_none_for_q8_c7_over_q(qq):
     assert wt.generate_witness(s, qq) is None
 
 
+@pytest.mark.parametrize("ptype,k,k2,abelian,ring,case,reason,reduced_to", [
+    (P.D1, 1, None, (), "F3", "presentation-type-1",
+     ("structure", "TheoremA.structure"), "4^-1 != 0"),
+    (P.D3, 1, 1, (), "F3", "presentation-type-3-5",
+     ("structure", "TheoremA.structure"), "4^-1 * sum of distinct central powers of y != 0"),
+    (P.D2, 2, None, (), "F3", "presentation-type-2-large-m",
+     ("structure", "TheoremA.structure"), "4^-1 != 0"),
+    (P.D2, 1, None, (4,), "F3", "order-4-element",
+     ("order-4-element", "TheoremA.1"), "4^-1 * (1 - g^2) != 0"),
+    (P.D2, 1, None, (3,), "Q", "excluded-prime",
+     ("excluded-prime", "TheoremA.2"), "alpha(g-1) and beta(g-1) not both 0"),
+    (P.D2, 1, None, (), "F3", "three-squares",
+     ("equation-solvable", "TheoremA.equation"), "some solution coordinate != 0"),
+])
+def test_each_case_cites_its_reason_and_condition2_reduction(
+    ptype, k, k2, abelian, ring, case, reason, reduced_to
+):
+    """One carrier per witness case: the reason `necessary_conditions` cites
+    first and the symbolic condition-2 reduction the witness records, both
+    read from `witness.CASES`; the verdict's first certificate is the
+    witness's own."""
+    S = groups.build_slc(ptype, k, k2, abelian=abelian)
+    R = coeff.make_ring(ring)
+    w = wt.generate_witness(S, R)
+    assert w.case_tag == case
+    assert w.validation["condition2"] == {"mode": "symbolic", "reduced_to": reduced_to}
+    v = decide.necessary_conditions(S, R)
+    assert (v.reasons[0].criterion, v.reasons[0].citation) == reason
+    assert v.reasons[-1].to_json() == {"criterion": "witness", "citation": "Lemma5.1",
+                                       "data": {"case": case}}
+    assert v.certificates[0] == w.certificate() == {"kind": "witness", **w.to_dict()}
+    assert wt.CASES[case] == (*reason, reduced_to)
+
+
 def test_generate_order4_takes_precedence_over_prime(f3):
     s = groups.build_slc(P.D2, 1, abelian=[4, 3])
     w = wt.generate_witness(s, f3)
